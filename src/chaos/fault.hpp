@@ -1,11 +1,11 @@
 // Deterministic, seeded fault injection for crash-recovery testing.
 //
 // Pipeline stages name the places where a real deployment can fail —
-// "collector.before_clear", "wal.torn_write", "tcp.drop" — and consult the
-// process-wide FaultInjector at each one. A test arms the injector with a
-// FaultPlan (a seed plus a list of rules); production code pays only a single
-// relaxed atomic load per fault point while disarmed, and compiling with
-// FSMON_DISABLE_FAULT_INJECTION removes even that.
+// "collector.before_clear", "wal.torn_write", "transport.before_send" —
+// and consult the process-wide FaultInjector at each one. A test arms the
+// injector with a FaultPlan (a seed plus a list of rules); production code
+// pays only a single relaxed atomic load per fault point while disarmed, and
+// compiling with FSMON_DISABLE_FAULT_INJECTION removes even that.
 //
 // Firing is deterministic: each fault point gets its own xoshiro stream seeded
 // from `plan.seed ^ hash(point)`, so a given (seed, workload) pair replays the

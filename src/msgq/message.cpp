@@ -1,70 +1,34 @@
 #include "src/msgq/message.hpp"
 
-#include <cstring>
-#include <limits>
-#include <span>
 #include <stdexcept>
 
-#include "src/common/crc32.hpp"
-
 namespace fsmon::msgq {
-namespace {
-
-void put_u32(std::vector<std::byte>& out, std::uint32_t v) {
-  // Little-endian on the wire.
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xFF));
-}
-
-std::uint32_t get_u32(std::span<const std::byte> in) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(in[static_cast<std::size_t>(i)]) << (8 * i);
-  return v;
-}
-
-}  // namespace
 
 bool topic_matches(std::string_view filter, std::string_view topic) {
   return topic.size() >= filter.size() && topic.substr(0, filter.size()) == filter;
 }
 
 std::vector<std::byte> encode_frame(const Message& message) {
-  const std::string_view body = message.bytes();
-  if (message.topic.size() > std::numeric_limits<std::uint32_t>::max() ||
-      body.size() > std::numeric_limits<std::uint32_t>::max())
+  const std::span<const std::byte> body = message.byte_span();
+  if (message.topic.size() > transport::kMaxWireField || body.size() > transport::kMaxWireField)
     throw std::invalid_argument("msgq frame too large");
-  std::vector<std::byte> out;
-  out.reserve(12 + message.topic.size() + body.size());
-  put_u32(out, static_cast<std::uint32_t>(message.topic.size()));
-  for (char c : message.topic) out.push_back(static_cast<std::byte>(c));
-  put_u32(out, static_cast<std::uint32_t>(body.size()));
-  for (char c : body) out.push_back(static_cast<std::byte>(c));
-  const std::uint32_t crc = common::crc32(std::span(out.data(), out.size()));
-  put_u32(out, crc);
+  std::vector<std::byte> out = transport::wire_header(message.topic, body.size());
+  const std::uint32_t crc = transport::wire_crc(out, body);
+  out.insert(out.end(), body.begin(), body.end());
+  out.resize(out.size() + 4);
+  transport::put_u32_le(out.data() + out.size() - 4, crc);
   return out;
 }
 
 std::optional<std::pair<Message, std::size_t>> decode_frame(
     std::span<const std::byte> buffer) {
-  if (buffer.size() < 12) return std::nullopt;
-  const std::uint32_t topic_len = get_u32(buffer);
-  // Guard against absurd lengths before arithmetic.
-  if (topic_len > (1u << 30)) throw std::runtime_error("msgq frame: topic length corrupt");
-  if (buffer.size() < 8ull + topic_len) return std::nullopt;
-  const std::uint32_t payload_len = get_u32(buffer.subspan(4 + topic_len));
-  if (payload_len > (1u << 30)) throw std::runtime_error("msgq frame: payload length corrupt");
-  const std::size_t total = 12ull + topic_len + payload_len;
-  if (buffer.size() < total) return std::nullopt;
-
-  const std::uint32_t expected = get_u32(buffer.subspan(total - 4));
-  const std::uint32_t actual = common::crc32(buffer.subspan(0, total - 4));
-  if (expected != actual) throw std::runtime_error("msgq frame: CRC mismatch");
-
+  const auto frame = transport::parse_wire_frame(buffer);
+  if (!frame) return std::nullopt;
   Message message;
-  message.topic.resize(topic_len);
-  std::memcpy(message.topic.data(), buffer.data() + 4, topic_len);
-  message.payload.resize(payload_len);
-  std::memcpy(message.payload.data(), buffer.data() + 8 + topic_len, payload_len);
-  return std::make_pair(std::move(message), total);
+  message.topic = frame->topic;
+  message.payload.assign(reinterpret_cast<const char*>(frame->payload.data()),
+                         frame->payload.size());
+  return std::make_pair(std::move(message), frame->size);
 }
 
 }  // namespace fsmon::msgq

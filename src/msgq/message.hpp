@@ -49,8 +49,8 @@ struct Message {
 /// ZMQ-style prefix subscription match.
 bool topic_matches(std::string_view filter, std::string_view topic);
 
-/// Length-prefixed binary framing with CRC-32 trailer, used by the TCP
-/// transport and as the durable representation in tests:
+/// The TCP wire frame (transport::WireFrame) of one message, as one
+/// contiguous buffer:
 ///   u32 topic_len | topic | u32 payload_len | payload | u32 crc
 std::vector<std::byte> encode_frame(const Message& message);
 

@@ -9,8 +9,9 @@
 // lossless use Block).
 //
 // Endpoints rendezvous through a Bus by name, standing in for ZeroMQ's
-// tcp:// endpoints; the src/msgq/tcp.hpp transport provides actual
-// socket framing when components run in separate processes.
+// tcp:// endpoints; transport::TcpTransport (src/transport/tcp.hpp)
+// carries the pipeline's frames when components run in separate
+// processes.
 #pragma once
 
 #include <cstdint>

@@ -97,16 +97,6 @@ Aggregator::Aggregator(msgq::Bus& bus, std::string name, AggregatorOptions optio
 
 Aggregator::~Aggregator() { stop(); }
 
-std::shared_ptr<msgq::Subscriber> Aggregator::inbox() const {
-  auto inproc = std::dynamic_pointer_cast<transport::InProcReceiver>(input_);
-  return inproc == nullptr ? nullptr : inproc->subscriber();
-}
-
-std::shared_ptr<msgq::Publisher> Aggregator::output() const {
-  auto inproc = std::dynamic_pointer_cast<transport::InProcSender>(output_);
-  return inproc == nullptr ? nullptr : inproc->publisher();
-}
-
 Status Aggregator::start() {
   if (running_.load()) return Status::ok();
   // A prior stop() closed the fan-in queues (they were fully drained by

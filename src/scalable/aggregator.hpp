@@ -154,18 +154,13 @@ class Aggregator {
   transport::Transport& transport() { return *transport_; }
   /// Fan-in receiver — the shard router's senders connect here.
   const std::shared_ptr<transport::Receiver>& input() const { return input_; }
-  /// Connect a downstream receiver (consumer, bridge tap) to the output.
+  /// Connect a downstream receiver (consumer, fan-out hub) to the output.
   void connect_output(const std::shared_ptr<transport::Receiver>& receiver) {
     output_->connect(receiver);
     if (fanout_receivers_gauge_ != nullptr)
       fanout_receivers_gauge_->set(
           static_cast<std::int64_t>(output_->receiver_count()));
   }
-
-  /// Bus-compat splice points (in-proc transport only; null otherwise).
-  /// Tests use these to wire rogue publishers straight into the inbox.
-  std::shared_ptr<msgq::Subscriber> inbox() const;
-  std::shared_ptr<msgq::Publisher> output() const;
 
   /// Historic replay from the reliable store (consumer fault recovery).
   common::Result<std::vector<core::StdEvent>> events_since(

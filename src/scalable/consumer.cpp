@@ -355,6 +355,26 @@ void Consumer::deliver_hub_item(const HubItem& item) {
   maybe_ack_locked();
 }
 
+Result<std::vector<core::StdEvent>> Consumer::next_replay_page(VectorCursor& cursor) const {
+  const std::size_t page = options_.replay_page > 0 ? options_.replay_page : 4096;
+  auto events = aggregator_.events_since(cursor, page);
+  // A short page is the whole backlog: a rename's halves are persisted
+  // in one frame, so only a full page can end between them.
+  if (!events || events.value().size() < page) return events;
+  const core::StdEvent& last = events.value().back();
+  if (last.cookie == 0 || last.kind != core::EventKind::kMovedFrom) return events;
+  const std::size_t shard =
+      aggregator_.shard_count() == 1 ? 0 : aggregator_.map().shard_of(last.source);
+  auto next = aggregator_.shard(shard).events_since(cursor.at(shard), 1);
+  if (!next) return next.status();
+  if (!next.value().empty() && next.value().front().source == last.source &&
+      next.value().front().cookie == last.cookie) {
+    cursor.advance(shard, next.value().front().id);
+    events.value().push_back(std::move(next.value().front()));
+  }
+  return events;
+}
+
 void Consumer::catch_up(std::stop_token stop) {
   // Demoted: live delivery stopped at the seen watermark. Page the
   // merged store replay through this consumer's own rules until within
@@ -369,7 +389,7 @@ void Consumer::catch_up(std::stop_token stop) {
       return;
     }
     VectorCursor cursor = seen_cursor();
-    auto events = aggregator_.events_since(cursor, page);
+    auto events = next_replay_page(cursor);
     if (!events) {
       // A transient store error (a shard mid-restart, a paged read
       // racing a purge) must not end catch-up: the hub sends the
@@ -411,7 +431,6 @@ void Consumer::replay_to_watermark(const VectorCursor& target,
   // live, so replaying exactly up to it closes the demotion gap with no
   // overlap. The store may trail the published head briefly (persistence
   // is async) — retry empty pages until the cursor reaches the target.
-  const std::size_t page = options_.replay_page > 0 ? options_.replay_page : 4096;
   auto backoff = std::chrono::milliseconds(1);
   while (!stop.stop_requested()) {
     VectorCursor cursor = seen_cursor();
@@ -423,7 +442,7 @@ void Consumer::replay_to_watermark(const VectorCursor& target,
       }
     }
     if (reached) return;
-    auto events = aggregator_.events_since(cursor, page);
+    auto events = next_replay_page(cursor);
     if (!events) {
       // Giving up short of the promotion watermark would leave a silent
       // gap: the hub already resumed live delivery above `target`, so
@@ -477,7 +496,7 @@ Result<std::size_t> Consumer::replay_historic(VectorCursor cursor, bool rewind) 
   const std::size_t page = options_.replay_page > 0 ? options_.replay_page : 4096;
   std::size_t count = 0;
   for (;;) {
-    auto events = aggregator_.events_since(cursor, page);
+    auto events = next_replay_page(cursor);
     if (!events) return events.status();
     if (events.value().empty()) break;
     core::EventBatch batch;

@@ -164,6 +164,13 @@ class Consumer {
   /// finish replaying to the promotion watermark (gap-free seam).
   void catch_up(std::stop_token stop);
   void replay_to_watermark(const VectorCursor& target, std::stop_token stop);
+  /// One page of the merged store replay after `cursor` (advanced past
+  /// it): `replay_page` events, plus the rest of a rename the page cut
+  /// through. A rename's MOVED_FROM and MOVED_TO share one cookie and
+  /// sit next to each other in their shard; split across pages, the
+  /// first page would mark the cookie and the dedup window would drop
+  /// the MOVED_TO as a duplicate. Every replay loop pages through here.
+  common::Result<std::vector<core::StdEvent>> next_replay_page(VectorCursor& cursor) const;
   /// All delivery (live and replay) funnels through here: per-event
   /// filtering and counters, one callback invocation per batch (or the
   /// per-event shim), one ack check per batch. Serialized by

@@ -91,9 +91,7 @@ class ShardMap {
 /// shard. Replaces the single event-id cursor — shard id sequences are
 /// independent dense sequences (each shard assigns ids 1,2,3,... for its
 /// own store), so one scalar can no longer describe a consumer's
-/// position. Encodes to "id0,id1,..." for the TCP replay protocol; a
-/// single number is a valid one-shard cursor, which keeps the wire
-/// format backward compatible.
+/// position.
 struct VectorCursor {
   std::vector<common::EventId> last_ids;
 
@@ -118,41 +116,6 @@ struct VectorCursor {
     std::uint64_t total = 0;
     for (auto id : last_ids) total += id;
     return total;
-  }
-
-  std::string encode() const {
-    std::string out;
-    for (std::size_t i = 0; i < last_ids.size(); ++i) {
-      if (i > 0) out.push_back(',');
-      out += std::to_string(last_ids[i]);
-    }
-    return out.empty() ? "0" : out;
-  }
-
-  /// Parse "id0,id1,...". Returns nullopt on malformed input. A shorter
-  /// vector than the receiver's shard count is valid (missing slots are
-  /// zero: replay-from-start for those shards, which over-replays —
-  /// safe, the dedup window collapses it).
-  static std::optional<VectorCursor> decode(std::string_view text) {
-    VectorCursor cursor;
-    std::uint64_t value = 0;
-    bool digits = false;
-    for (char c : text) {
-      if (c >= '0' && c <= '9') {
-        value = value * 10 + static_cast<std::uint64_t>(c - '0');
-        digits = true;
-      } else if (c == ',') {
-        if (!digits) return std::nullopt;
-        cursor.last_ids.push_back(value);
-        value = 0;
-        digits = false;
-      } else {
-        return std::nullopt;
-      }
-    }
-    if (!digits) return std::nullopt;
-    cursor.last_ids.push_back(value);
-    return cursor;
   }
 };
 

@@ -37,8 +37,6 @@
 #include "src/workloads/scripts.hpp"
 #include "src/workloads/target.hpp"
 
-#include <sys/socket.h>
-
 namespace fsmon::scenarios {
 
 using common::ErrorCode;
@@ -49,13 +47,6 @@ using federation::FederatedMonitor;
 using federation::MountTable;
 
 namespace {
-
-bool sockets_available() {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return false;
-  ::close(fd);
-  return true;
-}
 
 /// Tap decorator: counts every event the wrapped DSI emits, so the
 /// verifier has per-mount ground truth independent of the federation
@@ -294,7 +285,7 @@ Status build_mount(const ScenarioSpec& spec, Runtime& rt, const std::string& mna
         cfg.get_int(key + "shards", static_cast<std::int64_t>(fs_options.mdt_count)));
     const std::string carrier = cfg.get_or(key + "transport", "inproc");
     if (carrier == "tcp") {
-      if (sockets_available()) {
+      if (transport::TcpTransport::available()) {
         rt.transports.push_back(std::make_unique<transport::TcpTransport>());
         options.transport = rt.transports.back().get();
       } else {

@@ -2,11 +2,20 @@
 
 #include <atomic>
 #include <cstring>
+#include <stdexcept>
+
+#include "src/common/crc32.hpp"
 
 namespace fsmon::transport {
 namespace {
 
 std::atomic<std::uint64_t> g_frame_copies{0};
+
+std::uint32_t get_u32_le(std::span<const std::byte> in) {
+  std::uint32_t v = 0;
+  for (std::size_t i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(in[i]) << (8 * i);
+  return v;
+}
 
 }  // namespace
 
@@ -61,6 +70,42 @@ std::span<std::byte> FrameRef::mutable_bytes() {
   fresh->view = std::span<std::byte>(fresh->owned_vec);
   data_ = std::move(fresh);
   return data_->view;
+}
+
+void put_u32_le(std::byte* out, std::uint32_t value) {
+  for (int i = 0; i < 4; ++i) out[i] = static_cast<std::byte>((value >> (8 * i)) & 0xFF);
+}
+
+std::vector<std::byte> wire_header(std::string_view topic, std::size_t payload_size) {
+  std::vector<std::byte> header(8 + topic.size());
+  put_u32_le(header.data(), static_cast<std::uint32_t>(topic.size()));
+  std::memcpy(header.data() + 4, topic.data(), topic.size());
+  put_u32_le(header.data() + 4 + topic.size(), static_cast<std::uint32_t>(payload_size));
+  return header;
+}
+
+std::uint32_t wire_crc(std::span<const std::byte> header, std::span<const std::byte> payload) {
+  return common::crc32(payload, common::crc32(header));
+}
+
+std::optional<WireFrame> parse_wire_frame(std::span<const std::byte> buffer) {
+  if (buffer.size() < 12) return std::nullopt;
+  const std::uint32_t topic_len = get_u32_le(buffer);
+  // Reject absurd lengths before any arithmetic on them.
+  if (topic_len > kMaxWireField) throw std::runtime_error("wire frame: topic length corrupt");
+  if (buffer.size() < 12ull + topic_len) return std::nullopt;
+  const std::uint32_t payload_len = get_u32_le(buffer.subspan(4 + topic_len));
+  if (payload_len > kMaxWireField)
+    throw std::runtime_error("wire frame: payload length corrupt");
+  const std::size_t total = 12ull + topic_len + payload_len;
+  if (buffer.size() < total) return std::nullopt;
+  if (get_u32_le(buffer.subspan(total - 4)) != common::crc32(buffer.subspan(0, total - 4)))
+    throw std::runtime_error("wire frame: CRC mismatch");
+  WireFrame frame;
+  frame.topic = std::string_view(reinterpret_cast<const char*>(buffer.data() + 4), topic_len);
+  frame.payload = buffer.subspan(8 + topic_len, payload_len);
+  frame.size = total;
+  return frame;
 }
 
 }  // namespace fsmon::transport

@@ -1,7 +1,7 @@
 // FrameRef: an immutable, ref-counted handle to one encoded batch frame.
 //
 // Every hop of the pipeline (collector -> router -> shard aggregator ->
-// consumers / bridge / persist queue) moves the same already-encoded
+// consumers / persist queue) moves the same already-encoded
 // CRC-trailed frame bytes. Before the transport layer existed each hop
 // copied the frame into the next stage's inbox; a FrameRef makes the
 // handoff a shared_ptr bump instead, and the process-wide frame_copies()
@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -103,5 +104,31 @@ namespace detail {
 /// duplicate (e.g. a copy-mode benchmark) count it at the site.
 void count_frame_copy();
 }  // namespace detail
+
+/// The wire form of one (topic, frame) message on a TCP connection,
+/// all integers little-endian:
+///   u32 topic_len | topic | u32 payload_len | payload | u32 crc32
+/// The CRC covers every byte before the trailer. The header and the
+/// trailer are built apart from the payload so a sender can write all
+/// three with one scatter-gather call.
+struct WireFrame {
+  std::string_view topic;
+  std::span<const std::byte> payload;
+  std::size_t size = 0;  ///< Bytes the whole frame occupies.
+};
+
+/// Largest topic or payload a wire frame may carry.
+inline constexpr std::size_t kMaxWireField = std::size_t{1} << 30;
+
+/// `u32 topic_len | topic | u32 payload_len`.
+std::vector<std::byte> wire_header(std::string_view topic, std::size_t payload_size);
+/// The trailer value: CRC-32 over the header, then the payload.
+std::uint32_t wire_crc(std::span<const std::byte> header, std::span<const std::byte> payload);
+void put_u32_le(std::byte* out, std::uint32_t value);
+
+/// Parse the frame at the front of `buffer`, viewing into it. Returns
+/// nullopt while the frame is incomplete; throws std::runtime_error on a
+/// corrupt length or a CRC mismatch.
+std::optional<WireFrame> parse_wire_frame(std::span<const std::byte> buffer);
 
 }  // namespace fsmon::transport

@@ -49,13 +49,13 @@ void InProcSender::connect(const std::shared_ptr<Receiver>& receiver) {
     throw std::invalid_argument(
         "InProcSender::connect: receiver is not an in-process receiver");
   }
-  publisher_->connect(inproc->subscriber());
+  publisher_->connect(inproc->subscriber_);
 }
 
 void InProcSender::disconnect(const std::shared_ptr<Receiver>& receiver) {
   auto inproc = std::dynamic_pointer_cast<InProcReceiver>(receiver);
   if (inproc == nullptr) return;
-  publisher_->disconnect(inproc->subscriber()->name());
+  publisher_->disconnect(inproc->subscriber_->name());
 }
 
 std::shared_ptr<Sender> InProcTransport::make_sender(std::string name) {

@@ -4,10 +4,7 @@
 // The carrier is unchanged — msgq::Publisher fan-out into each
 // msgq::Subscriber's bounded inbox — but the payload now rides in
 // msgq::Message::frame, so the per-subscriber Message copy that used to
-// duplicate the encoded batch is a FrameRef shared_ptr bump. The
-// adapters also expose their underlying msgq endpoints (publisher() /
-// subscriber()) for the compat accessors the fault-tolerance tests use
-// to splice rogue publishers into a running pipeline.
+// duplicate the encoded batch is a FrameRef shared_ptr bump.
 //
 // Declared under src/transport/ but compiled into fsmon_msgq:
 // fsmon_transport cannot depend on msgq (msgq::Message embeds FrameRef),
@@ -37,10 +34,9 @@ class InProcReceiver : public Receiver {
   std::uint64_t dropped() const override { return subscriber_->dropped(); }
   const std::string& name() const override { return subscriber_->name(); }
 
-  /// The wrapped msgq endpoint (compat splice point for tests).
-  const std::shared_ptr<msgq::Subscriber>& subscriber() const { return subscriber_; }
-
  private:
+  friend class InProcSender;
+
   static std::optional<Frame> to_frame(std::optional<msgq::Message> message);
 
   std::shared_ptr<msgq::Subscriber> subscriber_;
@@ -59,9 +55,6 @@ class InProcSender : public Sender {
   const std::string& name() const override { return publisher_->name(); }
 
   void set_metrics(TransportMetrics metrics) { metrics_ = metrics; }
-
-  /// The wrapped msgq endpoint (compat splice point for tests).
-  const std::shared_ptr<msgq::Publisher>& publisher() const { return publisher_; }
 
  private:
   std::shared_ptr<msgq::Publisher> publisher_;

@@ -57,6 +57,7 @@ SendResult ShmSender::send(std::string_view topic, FrameRef frame) {
   for (const auto& edge : edges_) {
     if (!edge.receiver->accepts(topic)) continue;
     ++result.receivers;
+    if (edge.receiver->drop_over_limit()) continue;
     bool delivered = false;
     while (!edge.receiver->closed()) {
       const auto pushed = edge.ring->try_push(topic, frame.bytes());
@@ -92,9 +93,9 @@ SendResult ShmSender::send(std::string_view topic, FrameRef frame) {
 // ---------------------------------------------------------------------------
 // ShmReceiver
 
-ShmReceiver::ShmReceiver(std::string name, std::size_t /*high_water_mark*/,
-                         OverflowPolicy /*policy*/)
-    : name_(std::move(name)) {}
+ShmReceiver::ShmReceiver(std::string name, std::size_t high_water_mark,
+                         OverflowPolicy policy)
+    : name_(std::move(name)), high_water_mark_(high_water_mark), policy_(policy) {}
 
 void ShmReceiver::add_source(Source source) {
   std::lock_guard lock(mu_);
@@ -184,13 +185,25 @@ bool ShmReceiver::closed() const {
   return closed_;
 }
 
-std::size_t ShmReceiver::pending() const {
-  std::lock_guard lock(mu_);
+std::size_t ShmReceiver::pending_locked() const {
   std::size_t total = 0;
   for (const auto& source : sources_) {
     total += source.ring->pending() + source.overflow->size();
   }
   return total;
+}
+
+std::size_t ShmReceiver::pending() const {
+  std::lock_guard lock(mu_);
+  return pending_locked();
+}
+
+bool ShmReceiver::drop_over_limit() {
+  if (policy_ != OverflowPolicy::kDropNewest) return false;
+  std::lock_guard lock(mu_);
+  if (pending_locked() < high_water_mark_) return false;
+  ++dropped_;
+  return true;
 }
 
 std::uint64_t ShmReceiver::dropped() const {

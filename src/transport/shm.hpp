@@ -12,11 +12,14 @@
 // format (offsets, no pointers, atomic state words) prevents that — the
 // constructor is the only place that would change.
 //
-// Backpressure: a full ring blocks the sender (counted as
-// transport.ring_full_waits, consulted against the `transport.shm.full`
-// chaos point) until the receiver releases records — unless the receiver
-// is closed, which surfaces as a refusal exactly like a closed msgq
-// subscriber, so the collector rewind protocol carries over unchanged.
+// A kDropNewest receiver at its high-water mark (frames queued across
+// its rings) drops the new frame and counts it, as on the in-process
+// carrier. Otherwise backpressure applies: a full ring blocks the sender
+// (counted as transport.ring_full_waits, consulted against the
+// `transport.shm.full` chaos point) until the receiver releases records
+// — unless the receiver is closed, which surfaces as a refusal exactly
+// like a closed msgq subscriber, so the collector rewind protocol
+// carries over unchanged.
 // Frames larger than the ring can ever hold travel via a small overflow
 // queue of FrameRefs (a shared_ptr bump, still no copy).
 #pragma once
@@ -87,6 +90,9 @@ class ShmReceiver : public Receiver,
   const std::string& name() const override { return name_; }
 
   bool accepts(std::string_view topic) const;
+  /// kDropNewest at or past the high-water mark: count the frame as
+  /// dropped and return true, so the sender skips this receiver.
+  bool drop_over_limit();
 
  private:
   friend class ShmSender;
@@ -102,8 +108,11 @@ class ShmReceiver : public Receiver,
   /// Sender-side wakeup after a push.
   void notify();
   std::optional<Frame> poll_sources();
+  std::size_t pending_locked() const;
 
   const std::string name_;
+  const std::size_t high_water_mark_;
+  const OverflowPolicy policy_;
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::vector<Source> sources_;

@@ -1,7 +1,7 @@
 // Transport: the stage-boundary abstraction of the pipeline.
 //
 // Every hop — collector -> router, router -> shard aggregator,
-// aggregator -> consumers / TCP bridge — moves one topic string plus one
+// aggregator -> consumers — moves one topic string plus one
 // immutable FrameRef over a Sender/Receiver pair. The stages no longer
 // know what carries the frame; three implementations sit behind the
 // interface:
@@ -11,7 +11,7 @@
 //   - ShmTransport (src/transport/shm.hpp, built on a variable-length
 //     SPSC byte ring): publish writes the frame once into the ring;
 //     receivers read it in place via a borrowing FrameRef.
-//   - TcpTransport (src/transport/tcp.hpp, over msgq's TCP endpoints):
+//   - TcpTransport (src/transport/tcp.hpp, loopback or remote sockets):
 //     scatter-gather writev of header + payload, no assembly buffer.
 //
 // Contract (all implementations):

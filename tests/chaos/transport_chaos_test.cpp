@@ -1,9 +1,9 @@
 // Transport-layer chaos: the exactly-once pipeline guarantees must hold
 // no matter which carrier the stages ride. The 4-shard crash/restart
-// sweep and the refused-send rewind protocol run identically over the
-// in-process bus, the shared-memory rings and TCP sockets; the
-// transport.shm.full lever turns ring backpressure into a refusal
-// instead of a stuck sender; and a torn WAL group commit
+// sweep, a consumer crash/restart and the refused-send rewind protocol
+// run identically over the in-process bus, the shared-memory rings and
+// TCP sockets; the transport.shm.full lever turns ring backpressure into
+// a refusal instead of a stuck sender; and a torn WAL group commit
 // (wal.group_commit_torn) must ack NOTHING in the crashed group — the
 // durable prefix dedups on replay, the unacked suffix is re-published.
 #include <sys/socket.h>
@@ -391,6 +391,44 @@ TEST_P(TransportChaosTest, CrashWindowReplayRecoversWithoutBabysitterRewind) {
   // A little post-restart traffic exercises the gap-refusal nack path
   // too: frames above the hole are refused until the rewind heals it.
   for (int i = 0; i < 10; ++i) workload.step();
+
+  VERIFY_PIPELINE(monitor, fs, delivered, mu);
+  consumer->stop();
+  monitor.stop();
+}
+
+TEST_P(TransportChaosTest, ConsumerCrashRestartMidStreamIsExactlyOnce) {
+  // A consumer on another host is an ordinary Consumer on the tier's
+  // transport. Crash it mid-stream: the records produced while it is
+  // down reach the store but not the consumer, and frames the shards
+  // send into the dead connection are refused. restart() must re-dial,
+  // replay the outage from the acked cursor and collapse any overlap
+  // with live frames, so every record arrives exactly once. Acking every
+  // batch makes the acked cursor the delivered one, so nothing the
+  // consumer saw before the crash is replayed.
+  LustreFsOptions fs_options;
+  fs_options.mdt_count = 4;
+  LustreFs fs(fs_options, clock_);
+  auto transport = make_transport();
+  ScalableMonitor monitor(fs, options(transport.get()), clock_);
+  std::mutex mu;
+  KeyCounts delivered;
+  ConsumerOptions consumer_options;
+  consumer_options.ack_interval = 1;
+  auto consumer = monitor.make_consumer("c", consumer_options, [&](const StdEvent& e) {
+    std::lock_guard lock(mu);
+    ++delivered[key_of(e)];
+  });
+  ASSERT_TRUE(monitor.start().is_ok());
+  ASSERT_TRUE(consumer->start().is_ok());
+
+  ChaosWorkload workload(fs, 29);
+  for (int i = 0; i < 40; ++i) workload.step();
+  consumer->crash();
+  for (int i = 0; i < 40; ++i) workload.step();
+  settle(monitor, fs);  // the outage's records are all in the store
+  ASSERT_TRUE(consumer->restart().is_ok());
+  for (int i = 0; i < 40; ++i) workload.step();
 
   VERIFY_PIPELINE(monitor, fs, delivered, mu);
   consumer->stop();

@@ -171,17 +171,15 @@ TEST_F(FaultToleranceTest, CorruptBatchFrameIsDroppedAndPipelineKeepsFlowing) {
   // Inject garbage straight into the aggregator's fan-in inbox, as a
   // misbehaving collector would: plain junk, a frame whose CRC trailer
   // is wrong, and a valid-but-empty batch.
-  auto rogue = monitor.bus().make_publisher("rogue");
-  rogue->connect(monitor.aggregator().inbox());
-  rogue->publish("fsmon/rogue", "not a batch frame at all");
+  auto rogue = monitor.aggregator().transport().make_sender("rogue");
+  rogue->connect(monitor.aggregator().input());
+  rogue->send("fsmon/rogue",
+              transport::FrameRef::adopt(std::string("not a batch frame at all")));
   auto bad_crc = core::encode_batch(core::EventBatch{});
   bad_crc.back() ^= std::byte{0xFF};
-  rogue->publish("fsmon/rogue",
-                 std::string(reinterpret_cast<const char*>(bad_crc.data()),
-                             bad_crc.size()));
-  const auto empty = core::encode_batch(core::EventBatch{});
-  rogue->publish("fsmon/rogue",
-                 std::string(reinterpret_cast<const char*>(empty.data()), empty.size()));
+  rogue->send("fsmon/rogue", transport::FrameRef::adopt(std::move(bad_crc)));
+  rogue->send("fsmon/rogue",
+              transport::FrameRef::adopt(core::encode_batch(core::EventBatch{})));
 
   // Real events published after the corruption still flow end-to-end,
   // with ids untouched by the dropped frames.

@@ -1,7 +1,7 @@
 // Every registered metric name must be documented in
-// docs/OBSERVABILITY.md. The test exercises the real threaded pipeline,
-// the simulator, and the TCP transport so that every instrumentation
-// site registers, then greps the doc for each name.
+// docs/OBSERVABILITY.md. The test exercises the real threaded pipeline
+// and the simulator so that every instrumentation site registers, then
+// greps the doc for each name.
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -15,7 +15,6 @@
 #include "src/localfs/memfs.hpp"
 #include "src/localfs/sim_dsi.hpp"
 #include "src/lustre/filesystem.hpp"
-#include "src/msgq/tcp.hpp"
 #include "src/nsindex/index_consumer.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/scalable/scalable_monitor.hpp"
@@ -131,12 +130,6 @@ void exercise_all_stages(obs::MetricsRegistry& registry) {
     if (inotify_dsi.start([](const core::StdEvent&) {}).is_ok()) inotify_dsi.stop();
     std::filesystem::remove_all(watch_dir);
   }
-
-  // TCP transport instruments.
-  msgq::TcpPublisher publisher;
-  publisher.attach_metrics(registry, {{"endpoint", "doc"}});
-  msgq::TcpSubscriber subscriber;
-  subscriber.attach_metrics(registry, {{"endpoint", "doc"}});
 
   monitor.stop();
   std::filesystem::remove_all(store_dir);

@@ -1,5 +1,5 @@
 // Sharded aggregation tier: the shard map's stable partitioning, the
-// vector cursor's wire format, the router's refusal semantics, and the
+// vector cursor, the router's refusal semantics, the replay paging, and the
 // acceptance-critical merged-view contract — the k-way merged replay is
 // permutation-free (each shard's subsequence is byte-identical to that
 // shard's own replay) and, as a multiset with ids normalized away, the
@@ -69,31 +69,6 @@ TEST(ShardMapTest, DescribeShowsTheRuleThatFired) {
   EXPECT_EQ(map.describe("lustre:MDT6"), "lustre:MDT6 -> shard2 (index)");
   const std::string hashed = map.describe("no-digits");
   EXPECT_TRUE(hashed.find("(fnv1a)") != std::string::npos) << hashed;
-}
-
-TEST(VectorCursorTest, EncodeDecodeRoundTrip) {
-  VectorCursor cursor;
-  cursor.last_ids = {5, 0, 123456789, 7};
-  EXPECT_EQ(cursor.encode(), "5,0,123456789,7");
-  const auto decoded = VectorCursor::decode(cursor.encode());
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->last_ids, cursor.last_ids);
-}
-
-TEST(VectorCursorTest, SingleNumberIsAValidOneShardCursor) {
-  // Backward compatibility: the pre-shard TCP replay protocol sent one
-  // decimal id; it must still parse as a one-slot cursor.
-  const auto decoded = VectorCursor::decode("42");
-  ASSERT_TRUE(decoded.has_value());
-  ASSERT_EQ(decoded->size(), 1u);
-  EXPECT_EQ(decoded->at(0), 42u);
-  EXPECT_EQ(VectorCursor{}.encode(), "0");
-}
-
-TEST(VectorCursorTest, DecodeRejectsMalformedInput) {
-  for (const std::string bad : {"", ",", "1,", ",1", "1,,2", "x", "1,2x", "1 2"}) {
-    EXPECT_FALSE(VectorCursor::decode(bad).has_value()) << "'" << bad << "'";
-  }
 }
 
 TEST(VectorCursorTest, AdvanceIsMonotonicAndGrows) {
@@ -369,6 +344,48 @@ TEST_F(ShardMergeTest, ConcurrentReplayAndSlowConsumerDoNotDeadlock) {
   }
   EXPECT_GE(delivered.load(), 200u);
   consumer->stop();
+  monitor.stop();
+}
+
+// Regression: a replay page that ended between a rename's MOVED_FROM
+// and MOVED_TO marked their shared cookie in the dedup window, and the
+// next page's MOVED_TO was then dropped as a duplicate. Every page size
+// must deliver both halves.
+TEST_F(ShardMergeTest, ReplayPagesNeverSplitARenamePair) {
+  common::RealClock clock;
+  LustreFs fs(LustreFsOptions{}, clock);
+  ScalableMonitorOptions options;
+  eventstore::EventStoreOptions store;
+  store.directory = dir_;
+  options.aggregator.store = store;
+  ScalableMonitor monitor(fs, options, clock);
+  ASSERT_TRUE(monitor.start().is_ok());
+  ASSERT_TRUE(fs.create("/a").is_ok());
+  ASSERT_TRUE(fs.rename("/a", "/b").is_ok());
+  ASSERT_TRUE(fs.create("/c").is_ok());
+  ASSERT_TRUE(fs.rename("/c", "/d").is_ok());
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (monitor.aggregator().persisted() < 6 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  ASSERT_EQ(monitor.aggregator().persisted(), 6u);
+
+  const std::vector<core::EventKind> expected = {
+      core::EventKind::kCreate, core::EventKind::kMovedFrom, core::EventKind::kMovedTo,
+      core::EventKind::kCreate, core::EventKind::kMovedFrom, core::EventKind::kMovedTo};
+  for (std::size_t page = 1; page <= 4; ++page) {
+    ConsumerOptions consumer_options;
+    consumer_options.replay_page = page;
+    std::vector<core::EventKind> kinds;
+    auto consumer = monitor.make_consumer(
+        "replay" + std::to_string(page), consumer_options,
+        [&](const StdEvent& event) { kinds.push_back(event.kind); });
+    // From the acked cursor: the dedup window is live, as in catch-up.
+    ASSERT_TRUE(consumer->replay_historic().is_ok());
+    EXPECT_EQ(kinds, expected) << "replay_page " << page;
+    EXPECT_EQ(consumer->duplicates_suppressed(), 0u) << "replay_page " << page;
+  }
   monitor.stop();
 }
 

@@ -224,6 +224,37 @@ TEST_P(TransportTest, ClosedReceiverRefusesAndReopenDiscardsBacklog) {
   }
 }
 
+TEST_P(TransportTest, DropNewestReceiverCountsDropsPastHighWaterMark) {
+  // The high-water mark is per receiver on every carrier: a kDropNewest
+  // receiver keeps the oldest frames and counts the rest as dropped (the
+  // consumer's overflow_dropped gauge reads dropped()).
+  auto transport = make_transport();
+  auto sender = transport->make_sender("s");
+  auto receiver = transport->make_receiver("r", 4, OverflowPolicy::kDropNewest);
+  receiver->subscribe("");
+  sender->connect(receiver);
+
+  constexpr std::size_t kSent = 10;
+  for (std::size_t i = 0; i < kSent; ++i) {
+    sender->send("t", FrameRef::adopt("frame" + std::to_string(i)));
+  }
+  // TCP fills the inbox from a reader thread: wait until every frame is
+  // accounted for as queued or dropped.
+  const auto deadline = std::chrono::steady_clock::now() + kRecvTimeout;
+  while (receiver->pending() + receiver->dropped() < kSent &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(receiver->pending(), 4u);
+  EXPECT_EQ(receiver->dropped(), kSent - 4);
+  for (int i = 0; i < 4; ++i) {
+    auto frame = receiver->try_recv();
+    ASSERT_TRUE(frame.has_value()) << "frame " << i;
+    EXPECT_EQ(frame->payload.chars(), "frame" + std::to_string(i));
+  }
+  EXPECT_FALSE(receiver->try_recv().has_value());
+}
+
 TEST_P(TransportTest, MetricsCountAcceptedFramesAndBytes) {
   obs::MetricsRegistry registry;
   auto transport = make_transport();

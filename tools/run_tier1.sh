@@ -107,8 +107,8 @@ if $run_tsan; then
   cmake --build build-tsan -j "$(nproc)" \
     --target fsmon_tests fsmon_concurrency_tests fsmon_chaos_tests fsmon_nsindex_tests
   tsan_filter="PubSubTest.*:BusTest.*:TopicMatchTest.*:FrameTest.*:TcpTest.*"
-  tsan_filter+=":TcpSubscriberTest.*:PipelineTest.*:FaultToleranceTest.*"
-  tsan_filter+=":ConsumerOverflowTest.*:TcpBridgeTest.*:CollectorCostsTest.*"
+  tsan_filter+=":PipelineTest.*:FaultToleranceTest.*"
+  tsan_filter+=":ConsumerOverflowTest.*:CollectorCostsTest.*"
   tsan_filter+=":ProcessorTest.*:SimDriverTest.*"
   tsan_filter+=":ShardMapTest.*:VectorCursorTest.*:ShardRouterTest.*:ShardMergeTest.*"
   tsan_filter+=":FrameRefTest.*:SpscRingTest.*:ShmRingTest.*:*TransportTest.*"
@@ -129,7 +129,7 @@ if $run_asan; then
   # The transport suites shuttle zero-copy frames across threads and
   # carriers, so run them under ASan as well as the concurrency label.
   asan_filter="FrameRefTest.*:SpscRingTest.*:ShmRingTest.*:*TransportTest.*"
-  asan_filter+=":ByteIdentityTest.*"
+  asan_filter+=":ByteIdentityTest.*:TcpTest.*"
   asan_filter+=":SubIndexTest.*:SubIndexPropertyTest.*:FlowControlTest.*"
   ./build-asan/tests/fsmon_tests --gtest_filter="$asan_filter"
   (cd build-asan && ctest -L concurrency --output-on-failure)
