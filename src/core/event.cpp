@@ -166,8 +166,8 @@ void serialize_event_impl(const StdEvent& event, std::vector<std::byte>& out) {
   raw_event(out.data() + base, event);
 }
 
-Result<std::pair<StdEvent, std::size_t>> deserialize_event_impl(
-    std::span<const std::byte> in);
+Result<std::size_t> deserialize_event_impl(std::span<const std::byte> in,
+                                           StdEvent& event);
 
 }  // namespace
 
@@ -188,15 +188,21 @@ std::vector<std::byte> serialize_event(const StdEvent& event) {
 }
 
 Result<std::pair<StdEvent, std::size_t>> deserialize_event(std::span<const std::byte> in) {
+  StdEvent event;
+  auto consumed = deserialize_event(in, event);
+  if (!consumed) return consumed.status();
+  return std::make_pair(std::move(event), consumed.value());
+}
+
+Result<std::size_t> deserialize_event(std::span<const std::byte> in, StdEvent& out) {
   g_deserialize_calls.fetch_add(1, std::memory_order_relaxed);
-  return deserialize_event_impl(in);
+  return deserialize_event_impl(in, out);
 }
 
 namespace {
 
-Result<std::pair<StdEvent, std::size_t>> deserialize_event_impl(
-    std::span<const std::byte> in) {
-  StdEvent event;
+Result<std::size_t> deserialize_event_impl(std::span<const std::byte> in,
+                                           StdEvent& event) {
   std::size_t offset = 0;
   std::uint64_t id = 0;
   if (!get_u64(in, offset, id))
@@ -216,7 +222,7 @@ Result<std::pair<StdEvent, std::size_t>> deserialize_event_impl(
   if (!get_string(in, offset, event.watch_root) || !get_string(in, offset, event.path) ||
       !get_string(in, offset, event.source))
     return Status(ErrorCode::kCorrupt, "event: truncated strings");
-  return std::make_pair(std::move(event), offset);
+  return offset;
 }
 
 }  // namespace
@@ -299,11 +305,11 @@ Result<EventBatch> decode_batch(std::span<const std::byte> in) {
   batch.events.reserve(view.value().count);
   g_deserialize_calls.fetch_add(view.value().count, std::memory_order_relaxed);
   for (const auto& [offset, len] : view.value().events) {
-    auto decoded = deserialize_event_impl(in.subspan(offset, len));
-    if (!decoded) return decoded.status();
-    if (decoded.value().second != len)
+    auto consumed =
+        deserialize_event_impl(in.subspan(offset, len), batch.events.emplace_back());
+    if (!consumed) return consumed.status();
+    if (consumed.value() != len)
       return Status(ErrorCode::kCorrupt, "batch: embedded event length mismatch");
-    batch.events.push_back(std::move(decoded.value().first));
   }
   return batch;
 }

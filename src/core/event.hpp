@@ -109,6 +109,11 @@ std::vector<std::byte> serialize_event(const StdEvent& event);
 /// Deserialize one event from `in`; returns the event and bytes consumed.
 common::Result<std::pair<StdEvent, std::size_t>> deserialize_event(
     std::span<const std::byte> in);
+/// Deserialize one event from `in` into `out` in place (no temporary
+/// event, no move); returns bytes consumed. Replay paths decode straight
+/// into the slot of the page they return. On error `out` is unspecified.
+common::Result<std::size_t> deserialize_event(std::span<const std::byte> in,
+                                              StdEvent& out);
 
 /// Process-wide codec invocation totals (relaxed atomics). Tests use the
 /// delta across a pipeline run to prove each event is serialized exactly

@@ -8,6 +8,25 @@ using common::ErrorCode;
 using common::Result;
 using common::Status;
 
+Result<std::vector<StdEvent>> decode_events_since(const eventstore::EventStore& store,
+                                                  common::EventId after_id,
+                                                  std::size_t max_events) {
+  std::vector<StdEvent> out;
+  Status decode_status = Status::ok();
+  auto status = store.for_each_since(
+      after_id, max_events,
+      [&](common::EventId, std::span<const std::byte> payload, bool) {
+        auto decoded = deserialize_event(payload, out.emplace_back());
+        if (decoded) return true;
+        decode_status = decoded.status();
+        return false;
+      });
+  if (!decode_status.is_ok()) return decode_status;
+  if (!status.is_ok())
+    FSMON_WARN("eventstore", "events_since stopped early: ", status.to_string());
+  return out;
+}
+
 InterfaceLayer::InterfaceLayer(InterfaceOptions options) : options_(std::move(options)) {
   if (options_.store) {
     store_ = std::make_unique<eventstore::EventStore>(*options_.store);
@@ -72,13 +91,7 @@ Result<std::vector<StdEvent>> InterfaceLayer::events_since(common::EventId after
                                                            std::size_t max_events) const {
   if (store_ == nullptr)
     return Status(ErrorCode::kUnavailable, "no event store configured");
-  std::vector<StdEvent> out;
-  for (const auto& stored : store_->events_since(after_id, max_events)) {
-    auto decoded = deserialize_event(stored.payload);
-    if (!decoded) return decoded.status();
-    out.push_back(std::move(decoded.value().first));
-  }
-  return out;
+  return decode_events_since(*store_, after_id, max_events);
 }
 
 void InterfaceLayer::acknowledge(common::EventId up_to_id) {

@@ -39,6 +39,15 @@ struct InterfaceOptions {
 
 using SubscriptionId = std::uint64_t;
 
+/// Events with id > `after_id` in `store`, up to `max_events`, each
+/// decoded once straight from the store's payload view (no StoredEvent
+/// copy). An unreadable segment ends the read early (logged), as
+/// EventStore::events_since does; a corrupt payload is an error. The
+/// decode runs under the store lock, so callers page in bounded chunks.
+common::Result<std::vector<StdEvent>> decode_events_since(
+    const eventstore::EventStore& store, common::EventId after_id,
+    std::size_t max_events = SIZE_MAX);
+
 class InterfaceLayer {
  public:
   using EventSink = std::function<void(const std::vector<StdEvent>&)>;

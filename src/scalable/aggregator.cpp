@@ -5,6 +5,7 @@
 
 #include "src/chaos/fault.hpp"
 #include "src/common/logging.hpp"
+#include "src/core/interface.hpp"
 #include "src/transport/inproc.hpp"
 
 namespace fsmon::scalable {
@@ -494,6 +495,19 @@ bool Aggregator::persist_group(std::span<PersistBatch> group) {
         crashed_.store(true);
         return false;
       }
+      // The group's flush: without it a small group's bytes sit in the
+      // WAL writer's user-space buffer when its acks go out, and a
+      // process crash would lose records the changelog already cleared.
+      // One flush per group (append_batch already flushed when the store
+      // flushes every append). A failed flush is a fail-stop like a
+      // failed append.
+      if (!options_.store->flush_each_append) {
+        if (auto s = store_->flush(); !s.is_ok()) {
+          FSMON_ERROR("aggregator", "event store flush failed (fail-stop): ", s.to_string());
+          crashed_.store(true);
+          return false;
+        }
+      }
     }
     if (torn_crash) {
       // Torn mid-group: a durable prefix exists but the process died
@@ -569,13 +583,7 @@ Result<std::vector<core::StdEvent>> Aggregator::events_since(common::EventId aft
                                                              std::size_t max_events) const {
   if (store_ == nullptr)
     return Status(common::ErrorCode::kUnavailable, "aggregator has no event store");
-  std::vector<core::StdEvent> out;
-  for (const auto& stored : store_->events_since(after_id, max_events)) {
-    auto decoded = core::deserialize_event(stored.payload);
-    if (!decoded) return decoded.status();
-    out.push_back(std::move(decoded.value().first));
-  }
-  return out;
+  return core::decode_events_since(*store_, after_id, max_events);
 }
 
 void Aggregator::acknowledge(common::EventId up_to_id) {

@@ -162,7 +162,8 @@ class Aggregator {
           static_cast<std::int64_t>(output_->receiver_count()));
   }
 
-  /// Historic replay from the reliable store (consumer fault recovery).
+  /// Historic replay from the reliable store (consumer fault recovery),
+  /// decoded straight from the store's payload views.
   common::Result<std::vector<core::StdEvent>> events_since(
       common::EventId after_id, std::size_t max_events = SIZE_MAX) const;
 

@@ -109,12 +109,37 @@ void Consumer::deliver_batch(const core::EventBatch& batch, bool dedup_filter,
   // A live frame carries one shard's events; a merged replay page may
   // mix shards. Either way the owning shard is recomputed from the
   // event source through the shared map — the same rule the router
-  // applied on the write path.
+  // applied on the write path. The batch is walked in runs of
+  // same-source events (a live frame is one run), so the shard and the
+  // dedup window are looked up once per run, not per event.
+  //
+  // Duplicate decisions are made for the whole batch before any marking:
+  // a rename's MOVED_FROM/MOVED_TO halves share one cookie and always
+  // travel in one frame, so both are fresh or both are duplicates.
+  const std::vector<core::StdEvent>& events = batch.events;
   const std::size_t shard_count = aggregator_.shard_count();
-  for (const core::StdEvent& event : batch.events) {
-    const std::size_t shard =
-        shard_count == 1 ? 0 : aggregator_.map().shard_of(event.source);
-    seen_.advance(shard, event.id);
+  dedup_runs_.clear();
+  duplicate_at_.clear();
+  for (std::size_t begin = 0, end = 0; begin < events.size(); begin = end) {
+    const std::string& source = events[begin].source;
+    for (end = begin + 1; end < events.size() && events[end].source == source; ++end) {
+    }
+    const std::size_t shard = shard_count == 1 ? 0 : aggregator_.map().shard_of(source);
+    for (std::size_t i = begin; i < end; ++i) seen_.advance(shard, events[i].id);
+    if (source.empty()) continue;
+    SourceDedupWindow& window = dedup_[source];
+    if (dedup_filter) {
+      for (std::size_t i = begin; i < end; ++i) {
+        if (events[i].cookie != 0 && !window.fresh(events[i].cookie))
+          duplicate_at_.push_back(i);
+      }
+    }
+    dedup_runs_.push_back({&window, begin, end});
+  }
+  for (const DedupRun& run : dedup_runs_) {
+    for (std::size_t i = run.begin; i < run.end; ++i) {
+      if (events[i].cookie != 0) run.window->mark(events[i].cookie);
+    }
   }
   last_seen_sum_.store(seen_.sum());
   if (delivery_lag_gauge_ != nullptr) {
@@ -127,51 +152,49 @@ void Consumer::deliver_batch(const core::EventBatch& batch, bool dedup_filter,
         receiver_ != nullptr ? static_cast<std::int64_t>(receiver_->dropped()) : 0);
     batch_size_hist_->record(batch.size());
   }
-  // Duplicate decisions are made for the whole batch before any marking:
-  // a rename's MOVED_FROM/MOVED_TO halves share one cookie and always
-  // travel in one frame, so both are fresh or both are duplicates.
-  std::vector<bool> deliverable(batch.size(), true);
-  if (dedup_filter) {
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      const core::StdEvent& event = batch.events[i];
-      if (event.cookie == 0 || event.source.empty()) continue;
-      auto it = dedup_.find(event.source);
-      if (it != dedup_.end() && !it->second.fresh(event.cookie)) {
-        deliverable[i] = false;
-        duplicates_.fetch_add(1);
-      }
-    }
-  }
-  for (const core::StdEvent& event : batch.events) {
-    if (event.cookie == 0 || event.source.empty()) continue;
-    dedup_[event.source].mark(event.cookie);
-  }
-  core::EventBatch matched;  // only materialized for batch callbacks
+  // The batch callback gets the batch itself when every event survives
+  // dedup and filtering; the first dropped event switches to a copy of
+  // the survivors, so each delivered event is copied at most once.
+  const core::EventBatch* delivering = &batch;
+  core::EventBatch survivors;
   std::size_t delivered = 0;
   std::size_t dropped = 0;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    if (!deliverable[i]) continue;
-    const core::StdEvent& event = batch.events[i];
-    if (!already_filtered && !compiled_.matches(event)) {
+  auto next_duplicate = duplicate_at_.begin();
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const core::StdEvent& event = events[i];
+    bool keep = true;
+    if (next_duplicate != duplicate_at_.end() && *next_duplicate == i) {
+      ++next_duplicate;
+      keep = false;
+    } else if (!already_filtered && !compiled_.matches(event)) {
       ++dropped;
-      filtered_.fetch_add(1);
+      keep = false;
+    }
+    if (!keep) {
+      if (batch_callback_ && delivering == &batch) {
+        survivors.events.reserve(events.size() - 1);
+        survivors.events.assign(events.begin(), events.begin() + static_cast<std::ptrdiff_t>(i));
+        delivering = &survivors;
+      }
       continue;
     }
     ++delivered;
-    if (batch_callback_)
-      matched.events.push_back(event);
-    else if (callback_)
+    if (delivering == &survivors)
+      survivors.events.push_back(event);
+    else if (!batch_callback_ && callback_)
       callback_(event);
   }
   // One batched add per counter instead of 2-3 atomic increments per
   // event. Hub-delivered batches were matched by the shared index and
   // are not re-counted here.
   if (!already_filtered) filter_metrics_.count(delivered, dropped);
+  if (!duplicate_at_.empty()) duplicates_.fetch_add(duplicate_at_.size());
+  if (dropped > 0) filtered_.fetch_add(dropped);
   if (delivered > 0) {
     delivered_.fetch_add(delivered);
     if (delivered_counter_ != nullptr) delivered_counter_->inc(delivered);
   }
-  if (batch_callback_ && !matched.empty()) batch_callback_(matched);
+  if (batch_callback_ && delivered > 0) batch_callback_(*delivering);
   maybe_ack_locked();
 }
 

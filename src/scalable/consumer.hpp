@@ -173,7 +173,9 @@ class Consumer {
   common::Result<std::vector<core::StdEvent>> next_replay_page(VectorCursor& cursor) const;
   /// All delivery (live and replay) funnels through here: per-event
   /// filtering and counters, one callback invocation per batch (or the
-  /// per-event shim), one ack check per batch. Serialized by
+  /// per-event shim), one ack check per batch. The batch callback gets
+  /// `batch` itself when every event survives dedup and filtering, else
+  /// one copy of the survivors. Serialized by
   /// `deliver_mu_` so the callback sees at most one thread at a time
   /// even when replay_historic runs concurrently with the worker.
   /// With `dedup_filter` false the batch bypasses the duplicate filter
@@ -203,6 +205,15 @@ class Consumer {
   /// try_lock on a std::mutex the calling thread already owns is UB.
   std::atomic<std::thread::id> deliver_owner_{};
   std::map<std::string, SourceDedupWindow> dedup_;  ///< Guarded by deliver_mu_.
+  /// deliver_batch scratch, reused across batches so the steady state
+  /// allocates nothing per batch. Guarded by deliver_mu_.
+  struct DedupRun {
+    SourceDedupWindow* window;
+    std::size_t begin;
+    std::size_t end;
+  };
+  std::vector<DedupRun> dedup_runs_;
+  std::vector<std::size_t> duplicate_at_;  ///< Ascending batch indices.
   VectorCursor seen_;   ///< Per-shard last seen ids. Guarded by deliver_mu_.
   VectorCursor acked_;  ///< Per-shard last acked ids. Guarded by deliver_mu_.
   /// Manual-ack mode: the durable cursor published by the application.

@@ -1,5 +1,6 @@
 #include "src/scalable/sharded_aggregator.hpp"
 
+#include "src/common/logging.hpp"
 #include "src/transport/inproc.hpp"
 
 namespace fsmon::scalable {
@@ -73,6 +74,40 @@ void ShardedAggregator::set_nack_callback(Aggregator::NackCallback callback) {
   for (auto& shard : shards_) shard->set_nack_callback(callback);
 }
 
+namespace {
+
+/// One shard's side of the merge: a page of that shard's stored payloads,
+/// copied out of the store back to back into one buffer (one memcpy per
+/// record, no per-record allocation) and consumed front to back.
+struct MergeHead {
+  struct Record {
+    common::EventId id = 0;
+    std::size_t offset = 0;
+    std::size_t length = 0;
+  };
+  std::vector<std::byte> bytes;
+  std::vector<Record> records;
+  std::size_t pos = 0;
+  bool exhausted = false;         ///< The store had nothing past this page.
+  common::TimePoint timestamp{};  ///< Of records[pos]; read without decoding.
+
+  bool drained() const { return pos >= records.size(); }
+  std::span<const std::byte> payload() const {
+    const Record& record = records[pos];
+    return std::span(bytes).subspan(record.offset, record.length);
+  }
+  /// Peek the merge key of the record now at the head, if any.
+  Status load_timestamp() {
+    if (drained()) return Status::ok();
+    auto ts = core::peek_event_timestamp(payload());
+    if (!ts) return ts.status();
+    timestamp = ts.value();
+    return Status::ok();
+  }
+};
+
+}  // namespace
+
 Result<std::vector<core::StdEvent>> ShardedAggregator::events_since(
     VectorCursor& cursor, std::size_t max_events) const {
   const std::size_t n = shards_.size();
@@ -80,31 +115,52 @@ Result<std::vector<core::StdEvent>> ShardedAggregator::events_since(
   std::vector<core::StdEvent> out;
   if (max_events == 0) return out;
 
-  // One buffered page per shard; refilled independently as heads drain,
-  // so an arbitrarily deep merged backlog materializes at most
-  // n * chunk events at a time. No store lock is held between fetches —
-  // each events_since call pages out of the store and returns.
+  // One page of raw payloads per shard, refilled independently as heads
+  // drain, so an arbitrarily deep merged backlog holds at most n * chunk
+  // payloads at a time. The store lock is held only while a page is
+  // copied out; the merge, and every decode, run after it is released.
+  // Heads compare on timestamps peeked from the payload bytes, and only
+  // the event the merge emits is decoded — straight into `out`. Records
+  // a page loaded but the merge did not reach cost one memcpy, never a
+  // decode, and are simply re-read by the next call.
   const std::size_t chunk =
       std::min<std::size_t>(4096, std::max<std::size_t>(max_events / n, 1));
-  struct Head {
-    std::vector<core::StdEvent> page;
-    std::size_t pos = 0;
-    bool exhausted = false;
-  };
-  std::vector<Head> heads(n);
+  std::vector<MergeHead> heads(n);
   auto refill = [&](std::size_t k) -> Status {
-    Head& head = heads[k];
-    head.page.clear();
+    MergeHead& head = heads[k];
+    head.bytes.clear();
+    head.records.clear();
     head.pos = 0;
-    auto events = shards_[k]->events_since(cursor.last_ids[k], chunk);
-    if (!events) return events.status();
-    head.page = std::move(events.value());
-    if (head.page.size() < chunk) head.exhausted = true;
-    return Status::ok();
+    const eventstore::EventStore* store = shards_[k]->store();
+    if (store == nullptr)
+      return Status(common::ErrorCode::kUnavailable, "aggregator has no event store");
+    // Size the page once (records on hand, capped at chunk, times the
+    // first payload's size) rather than growing it record by record.
+    const common::EventId after = cursor.last_ids[k];
+    const std::size_t expected = static_cast<std::size_t>(
+        std::min<std::uint64_t>(chunk, store->last_id() - std::min(after, store->last_id())));
+    head.records.reserve(expected);
+    auto status = store->for_each_since(
+        after, chunk,
+        [&head, expected](common::EventId id, std::span<const std::byte> payload, bool) {
+          if (head.records.empty()) head.bytes.reserve(expected * payload.size());
+          head.records.push_back({id, head.bytes.size(), payload.size()});
+          head.bytes.insert(head.bytes.end(), payload.begin(), payload.end());
+          return true;
+        });
+    // An unreadable segment ends the page early, and so this shard's
+    // part of the call, as Aggregator::events_since does.
+    if (!status.is_ok())
+      FSMON_WARN("aggregator", "merged replay page stopped early: ", status.to_string());
+    if (head.records.size() < chunk) head.exhausted = true;
+    return head.load_timestamp();
   };
+  std::size_t loaded = 0;
   for (std::size_t k = 0; k < n; ++k) {
     if (auto s = refill(k); !s.is_ok()) return s;
+    loaded += heads[k].records.size();
   }
+  out.reserve(std::min(max_events, loaded));
 
   while (out.size() < max_events) {
     // Pop the smallest (timestamp, shard) head. Head comparison only:
@@ -113,19 +169,19 @@ Result<std::vector<core::StdEvent>> ShardedAggregator::events_since(
     // replay — the permutation-free contract.
     std::size_t best = n;
     for (std::size_t k = 0; k < n; ++k) {
-      const Head& head = heads[k];
-      if (head.pos >= head.page.size()) continue;
-      if (best == n ||
-          head.page[head.pos].timestamp < heads[best].page[heads[best].pos].timestamp)
-        best = k;
+      if (heads[k].drained()) continue;
+      if (best == n || heads[k].timestamp < heads[best].timestamp) best = k;
     }
     if (best == n) break;  // every shard drained
-    core::StdEvent& event = heads[best].page[heads[best].pos++];
-    cursor.last_ids[best] = event.id;
-    out.push_back(std::move(event));
-    if (heads[best].pos >= heads[best].page.size() && !heads[best].exhausted) {
-      if (auto s = refill(best); !s.is_ok()) return s;
-    }
+    MergeHead& head = heads[best];
+    if (auto decoded = core::deserialize_event(head.payload(), out.emplace_back());
+        !decoded)
+      return decoded.status();
+    cursor.last_ids[best] = head.records[head.pos].id;
+    ++head.pos;
+    const Status next = head.drained() && !head.exhausted ? refill(best)
+                                                           : head.load_timestamp();
+    if (!next.is_ok()) return next;
   }
   return out;
 }

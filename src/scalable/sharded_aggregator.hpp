@@ -13,11 +13,12 @@
 // sequence for its own store. A consumer's position is therefore a
 // VectorCursor (one watermark per shard), and the merged read path
 // (events_since) performs a k-way head-comparison merge over per-shard
-// store pages: the event with the smallest (timestamp, shard) head is
-// popped next. The merge never reorders within a shard — each shard's
-// subsequence of the merged stream is exactly its replay order — which
-// is the "permutation-free merge" contract the property test
-// byte-checks.
+// pages of raw stored payloads: the event with the smallest (timestamp,
+// shard) head is popped next, compared on timestamps peeked from the
+// bytes, and only the popped event is decoded. The merge never reorders
+// within a shard — each shard's subsequence of the merged stream is
+// exactly its replay order — which is the "permutation-free merge"
+// contract the property test byte-checks.
 #pragma once
 
 #include <memory>
@@ -77,6 +78,8 @@ class ShardedAggregator {
   /// preserved exactly. `cursor` is advanced past every returned event,
   /// so repeated calls page through the backlog. The cursor is resized
   /// to the shard count if needed (missing slots replay from the start).
+  /// Each returned event is decoded exactly once, straight into the
+  /// result; no store lock is held while decoding.
   common::Result<std::vector<core::StdEvent>> events_since(
       VectorCursor& cursor, std::size_t max_events = SIZE_MAX) const;
 

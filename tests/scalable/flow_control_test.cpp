@@ -368,7 +368,11 @@ TEST_F(FlowControlTest, MinAckHoldsStorePurgeForDemotedConsumer) {
   ASSERT_TRUE(stalled->start().is_ok());
   ASSERT_TRUE(healthy->start().is_ok());
 
-  constexpr int kEvents = 600;
+  // Demotion fires only when a frame arrives after the 256-credit window
+  // is spent. The frame that overdraws the window ends before event
+  // 256 + 512 (the collector's publish_batch), so more events than that
+  // guarantee a later frame whatever sizes the collector cuts.
+  constexpr int kEvents = 1000;
   for (int i = 0; i < kEvents; ++i)
     ASSERT_TRUE(fs.create("/f" + std::to_string(i)).is_ok());
   ASSERT_TRUE(wait_until([&] { return healthy_count.load() >= kEvents; }));

@@ -295,6 +295,77 @@ TEST_F(ShardMergeTest, MergedViewIsPermutationFreeAndMatchesSingleShardRun) {
   EXPECT_EQ(sharded_multiset, single_multiset);
 }
 
+// Decode-once: the merge compares timestamps peeked from the stored
+// bytes and decodes only the event it emits. Records a page copied out
+// of a store but did not reach are never decoded, so a paged replay of N
+// events costs exactly N deserializer calls whatever the page size.
+TEST_F(ShardMergeTest, MergedReplayDecodesEachEventExactlyOnce) {
+  common::ManualClock clock;
+  LustreFsOptions fs_options;
+  fs_options.mdt_count = 4;
+  LustreFs fs(fs_options, clock);
+  ScalableMonitorOptions options;
+  options.shards = 4;
+  eventstore::EventStoreOptions store;
+  store.directory = dir_;
+  options.aggregator.store = store;
+  ScalableMonitor monitor(fs, options, clock);
+  run_workload(fs, monitor, clock);
+  ShardedAggregator& sharded = monitor.sharded();
+  const std::uint64_t stored = sharded.last_event_id_sum();
+  ASSERT_GT(stored, 0u);
+
+  for (const std::size_t page : {std::size_t{7}, std::size_t{64}, std::size_t{SIZE_MAX}}) {
+    VectorCursor cursor;
+    std::uint64_t replayed = 0;
+    const std::uint64_t before = core::codec_counters().deserialize_calls;
+    for (;;) {
+      auto chunk = sharded.events_since(cursor, page);
+      ASSERT_TRUE(chunk.is_ok()) << chunk.status().to_string();
+      if (chunk.value().empty()) break;
+      replayed += chunk.value().size();
+    }
+    EXPECT_EQ(replayed, stored) << "page size " << page;
+    EXPECT_EQ(core::codec_counters().deserialize_calls - before, stored)
+        << "page size " << page;
+  }
+}
+
+// Same scratch store directory, for the persister's own contract.
+class AckDurabilityTest : public ShardMergeTest {};
+
+// Acked implies durable: the persister releases a group's acks only
+// after the group's WAL bytes are flushed to the file. A one-event group
+// is far below the WAL writer's buffer, so without the flush the ack
+// would go out while the record still sat in user space.
+TEST_F(AckDurabilityTest, AckReleasedOnlyAfterTheGroupIsFlushed) {
+  common::RealClock clock;
+  msgq::Bus bus;
+  ShardedAggregatorOptions options;
+  eventstore::EventStoreOptions store;
+  store.directory = dir_;
+  options.aggregator.store = store;
+  ShardedAggregator sharded(bus, "aggregator", options, clock);
+
+  const std::string frame = make_frame("lustre:MDT0", 1, 1);
+  // One event's WAL record (u32 length, u64 id, payload, u32 crc) is as
+  // long as its one-event batch frame (u32 magic, u32 count, u32 length,
+  // payload, u32 crc).
+  const std::uint64_t record_bytes = frame.size();
+  std::vector<std::uint64_t> on_disk_at_ack;
+  sharded.set_ack_callback([&](std::string_view, std::uint64_t) {
+    std::uint64_t bytes = 0;
+    for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+      if (entry.path().extension() == ".wal") bytes += entry.file_size();
+    }
+    on_disk_at_ack.push_back(bytes);
+  });
+  ASSERT_EQ(sharded.router().route("t", frame).accepted, 1u);
+  EXPECT_EQ(sharded.shard(0).drain_once(), 1u);
+  ASSERT_EQ(on_disk_at_ack.size(), 1u);
+  EXPECT_GE(on_disk_at_ack[0], record_bytes);
+}
+
 // Regression (sharding review): the merged replay pages all shard stores
 // BEFORE taking the consumer's delivery mutex. The inverted order would
 // deadlock when a replay page blocks behind a slow consumer callback

@@ -105,7 +105,8 @@ if $run_tsan; then
   # Both test targets must build: ctest's discovery includes error out on
   # a configured-but-unbuilt gtest executable.
   cmake --build build-tsan -j "$(nproc)" \
-    --target fsmon_tests fsmon_concurrency_tests fsmon_chaos_tests fsmon_nsindex_tests
+    --target fsmon_tests fsmon_concurrency_tests fsmon_chaos_tests fsmon_nsindex_tests \
+    fsmon_alloc_tests
   tsan_filter="PubSubTest.*:BusTest.*:TopicMatchTest.*:FrameTest.*:TcpTest.*"
   tsan_filter+=":PipelineTest.*:FaultToleranceTest.*"
   tsan_filter+=":ConsumerOverflowTest.*:CollectorCostsTest.*"
@@ -125,12 +126,16 @@ if $run_asan; then
   echo "Building AddressSanitizer configuration (build-asan)..."
   cmake -B build-asan -S . -DFSMON_SANITIZE=address -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build build-asan -j "$(nproc)" \
-    --target fsmon_tests fsmon_concurrency_tests fsmon_chaos_tests fsmon_nsindex_tests
+    --target fsmon_tests fsmon_concurrency_tests fsmon_chaos_tests fsmon_nsindex_tests \
+    fsmon_alloc_tests
   # The transport suites shuttle zero-copy frames across threads and
   # carriers, so run them under ASan as well as the concurrency label.
+  # The merged replay decodes out of per-shard page buffers, so the shard
+  # merge suite runs here too.
   asan_filter="FrameRefTest.*:SpscRingTest.*:ShmRingTest.*:*TransportTest.*"
   asan_filter+=":ByteIdentityTest.*:TcpTest.*"
   asan_filter+=":SubIndexTest.*:SubIndexPropertyTest.*:FlowControlTest.*"
+  asan_filter+=":ShardMergeTest.*"
   ./build-asan/tests/fsmon_tests --gtest_filter="$asan_filter"
   (cd build-asan && ctest -L concurrency --output-on-failure)
   (cd build-asan && ctest -L nsindex --output-on-failure)
