@@ -24,7 +24,14 @@ std::string_view to_string(FsOpKind kind) {
 
 MemFs::MemFs() = default;
 
-void MemFs::add_listener(Listener listener) { listeners_.push_back(std::move(listener)); }
+MemFs::ListenerId MemFs::add_listener(Listener listener) {
+  listeners_.emplace_back(next_listener_id_, std::move(listener));
+  return next_listener_id_++;
+}
+
+void MemFs::remove_listener(ListenerId id) {
+  std::erase_if(listeners_, [id](const auto& entry) { return entry.first == id; });
+}
 
 void MemFs::emit(FsOpKind kind, const std::string& path, bool is_dir,
                  const std::string& dest) {
@@ -34,7 +41,7 @@ void MemFs::emit(FsOpKind kind, const std::string& path, bool is_dir,
   action.dest_path = dest;
   action.is_dir = is_dir;
   action.sequence = next_sequence_++;
-  for (const auto& listener : listeners_) listener(action);
+  for (const auto& [id, listener] : listeners_) listener(action);
 }
 
 Status MemFs::check_parent(const std::string& path) const {

@@ -45,11 +45,16 @@ struct FsAction {
 class MemFs {
  public:
   using Listener = std::function<void(const FsAction&)>;
+  /// Handle of an installed listener, for remove_listener().
+  using ListenerId = std::uint64_t;
 
   MemFs();
 
   /// Listeners observe every successful mutation, in order.
-  void add_listener(Listener listener);
+  ListenerId add_listener(Listener listener);
+  /// Uninstall a listener; an owner whose listener captures `this` must
+  /// call this before it is destroyed. Unknown ids are ignored.
+  void remove_listener(ListenerId id);
 
   common::Status create(const std::string& path);
   common::Status mkdir(const std::string& path);
@@ -81,7 +86,8 @@ class MemFs {
             const std::string& dest = {});
 
   std::map<std::string, Entry> entries_;  // normalized path -> entry; "/" is implicit
-  std::vector<Listener> listeners_;
+  std::vector<std::pair<ListenerId, Listener>> listeners_;
+  ListenerId next_listener_id_ = 0;
   std::uint64_t next_sequence_ = 0;
 };
 

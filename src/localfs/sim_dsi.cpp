@@ -95,15 +95,19 @@ std::vector<StdEvent> standardize_fsw(const NativeEvent& event,
 SimDsiBase::SimDsiBase(MemFs& fs, common::Clock& clock, std::string name)
     : fs_(fs), clock_(clock), name_(std::move(name)) {}
 
+SimDsiBase::~SimDsiBase() {
+  if (listener_) fs_.remove_listener(*listener_);
+}
+
 common::Status SimDsiBase::start(EventCallback callback) {
   callback_ = std::move(callback);
-  if (!listener_installed_) {
-    // MemFs listeners are permanent; gate on running_ so stop() works.
-    fs_.add_listener([this](const FsAction& action) {
+  if (!listener_) {
+    // Installed once for the DSI's lifetime; gate on running_ so stop()
+    // works.
+    listener_ = fs_.add_listener([this](const FsAction& action) {
       if (!running_.load(std::memory_order_acquire) || !callback_) return;
       for (auto& event : translate(action)) callback_(std::move(event));
     });
-    listener_installed_ = true;
   }
   running_.store(true, std::memory_order_release);
   return common::Status::ok();

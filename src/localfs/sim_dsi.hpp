@@ -17,6 +17,7 @@
 #include <atomic>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 
@@ -40,6 +41,8 @@ std::vector<core::StdEvent> standardize_fsw(const NativeEvent& event,
 class SimDsiBase : public core::DsiBase {
  public:
   SimDsiBase(MemFs& fs, common::Clock& clock, std::string name);
+  /// Uninstalls the MemFs listener, which captures `this`.
+  ~SimDsiBase() override;
 
   std::string name() const override { return name_; }
   common::Status start(EventCallback callback) override;
@@ -56,7 +59,7 @@ class SimDsiBase : public core::DsiBase {
  private:
   std::string name_;
   std::atomic<bool> running_{false};
-  bool listener_installed_ = false;
+  std::optional<MemFs::ListenerId> listener_;
   EventCallback callback_;
 };
 

@@ -33,7 +33,7 @@
 // crash-recovery property the tests byte-check.
 //
 // Thread safety: every public method takes the internal mutex; apply
-// runs on the consumer's delivery thread while queries come from
+// runs in the consumer's delivery callback while queries come from
 // application threads.
 #pragma once
 

@@ -163,6 +163,9 @@ Status Aggregator::restart() {
     if (store_options.labels.empty()) store_options.labels = options_.labels;
     store_ = std::make_unique<eventstore::EventStore>(store_options);
     next_id_.store(store_->last_id() + 1);
+    // Ids above the store's last one are assigned afresh: an ack for the
+    // lost numbering must not cover them.
+    requested_ack_.store(0);
   }
   rebuild_accepted_from_store();
   crashed_.store(false);
@@ -574,7 +577,7 @@ void Aggregator::purge_loop(std::stop_token stop) {
     remaining -= slice;
     if (remaining.count() > 0) continue;
     remaining = options_.purge_interval;
-    store_->purge_reported();
+    purge();
     purge_cycles_.fetch_add(1);
   }
 }
@@ -587,9 +590,19 @@ Result<std::vector<core::StdEvent>> Aggregator::events_since(common::EventId aft
 }
 
 void Aggregator::acknowledge(common::EventId up_to_id) {
-  if (store_ != nullptr) store_->mark_reported(up_to_id);
+  if (store_ == nullptr) return;
+  common::EventId requested = requested_ack_.load();
+  while (requested < up_to_id && !requested_ack_.compare_exchange_weak(requested, up_to_id)) {
+  }
+  store_->mark_reported(up_to_id);
 }
 
-std::size_t Aggregator::purge() { return store_ == nullptr ? 0 : store_->purge_reported(); }
+std::size_t Aggregator::purge() {
+  if (store_ == nullptr) return 0;
+  // An ack that outran persistence was clamped to the ids the store held
+  // then; apply the rest now, off the ack and persist paths.
+  store_->mark_reported(requested_ack_.load());
+  return store_->purge_reported();
+}
 
 }  // namespace fsmon::scalable

@@ -228,6 +228,10 @@ class Aggregator {
   std::jthread persist_thread_;
   std::jthread purge_thread_;
   std::atomic<common::EventId> next_id_{1};
+  /// Highest id a consumer acknowledged. Fan-out runs ahead of
+  /// persistence and the store clamps an ack to the ids it holds, so
+  /// purge() applies it again first.
+  std::atomic<common::EventId> requested_ack_{0};
   std::atomic<std::uint64_t> aggregated_{0};
   std::atomic<std::uint64_t> persisted_{0};
   std::atomic<std::uint64_t> purge_cycles_{0};

@@ -9,6 +9,27 @@ namespace fsmon::scalable {
 using common::Result;
 using common::Status;
 
+namespace {
+
+/// Records the thread inside a delivery for as long as it holds
+/// deliver_mu_ across the application callback, so a reentrant
+/// acknowledge_processed() (a checkpoint inside on_batch) can tell it
+/// must not touch deliver_mu_ again on this thread.
+class DeliveryOwner {
+ public:
+  explicit DeliveryOwner(std::atomic<std::thread::id>& owner) : owner_(owner) {
+    owner_.store(std::this_thread::get_id(), std::memory_order_relaxed);
+  }
+  ~DeliveryOwner() { owner_.store(std::thread::id{}, std::memory_order_relaxed); }
+  DeliveryOwner(const DeliveryOwner&) = delete;
+  DeliveryOwner& operator=(const DeliveryOwner&) = delete;
+
+ private:
+  std::atomic<std::thread::id>& owner_;
+};
+
+}  // namespace
+
 Consumer::Consumer(msgq::Bus& bus, ShardedAggregator& aggregator, std::string name,
                    ConsumerOptions options, EventCallback callback)
     : Consumer(bus, aggregator, std::move(name), std::move(options), std::move(callback),
@@ -94,51 +115,79 @@ VectorCursor Consumer::seen_cursor() const {
   return seen_;
 }
 
+std::size_t Consumer::dedup_pending() const {
+  std::lock_guard lock(deliver_mu_);
+  std::size_t pending = 0;
+  for (const auto& [source, window] : dedup_) pending += window.beyond.size();
+  return pending;
+}
+
 void Consumer::deliver_batch(const core::EventBatch& batch, bool dedup_filter,
                              bool already_filtered) {
   if (batch.empty()) return;
   std::lock_guard lock(deliver_mu_);
-  // Record ownership for the duration of the callback so a reentrant
-  // acknowledge_processed() (a checkpoint inside on_batch) can tell it
-  // must not touch deliver_mu_ again on this thread.
-  deliver_owner_.store(std::this_thread::get_id(), std::memory_order_relaxed);
-  struct OwnerScope {
-    std::atomic<std::thread::id>& owner;
-    ~OwnerScope() { owner.store(std::thread::id{}, std::memory_order_relaxed); }
-  } owner_scope{deliver_owner_};
+  DeliveryOwner owner(deliver_owner_);
+  deliver_locked(batch, dedup_filter, already_filtered, nullptr);
+}
+
+void Consumer::collect_runs_locked(const std::vector<core::StdEvent>& events) {
   // A live frame carries one shard's events; a merged replay page may
   // mix shards. Either way the owning shard is recomputed from the
   // event source through the shared map — the same rule the router
   // applied on the write path. The batch is walked in runs of
   // same-source events (a live frame is one run), so the shard and the
   // dedup window are looked up once per run, not per event.
-  //
-  // Duplicate decisions are made for the whole batch before any marking:
-  // a rename's MOVED_FROM/MOVED_TO halves share one cookie and always
-  // travel in one frame, so both are fresh or both are duplicates.
-  const std::vector<core::StdEvent>& events = batch.events;
   const std::size_t shard_count = aggregator_.shard_count();
   dedup_runs_.clear();
-  duplicate_at_.clear();
   for (std::size_t begin = 0, end = 0; begin < events.size(); begin = end) {
     const std::string& source = events[begin].source;
     for (end = begin + 1; end < events.size() && events[end].source == source; ++end) {
     }
     const std::size_t shard = shard_count == 1 ? 0 : aggregator_.map().shard_of(source);
-    for (std::size_t i = begin; i < end; ++i) seen_.advance(shard, events[i].id);
-    if (source.empty()) continue;
-    SourceDedupWindow& window = dedup_[source];
-    if (dedup_filter) {
-      for (std::size_t i = begin; i < end; ++i) {
-        if (events[i].cookie != 0 && !window.fresh(events[i].cookie))
+    SourceDedupWindow* window = source.empty() ? nullptr : &dedup_[source];
+    dedup_runs_.push_back({window, shard, begin, end});
+  }
+}
+
+void Consumer::deliver_locked(const core::EventBatch& batch, bool dedup_filter,
+                              bool already_filtered, const core::EventBatch* hub_frame) {
+  // Duplicate decisions are made on the delivered events before any
+  // marking: a rename's MOVED_FROM/MOVED_TO halves share one cookie and
+  // always travel in one frame, so both are fresh or both are
+  // duplicates — and when only the MOVED_TO matched a hub consumer's
+  // rules, marking the frame's MOVED_FROM first would drop it.
+  const std::vector<core::StdEvent>& events = batch.events;
+  duplicate_at_.clear();
+  collect_runs_locked(events);
+  if (dedup_filter) {
+    for (const DedupRun& run : dedup_runs_) {
+      if (run.window == nullptr) continue;
+      for (std::size_t i = run.begin; i < run.end; ++i) {
+        if (events[i].cookie != 0 && !run.window->fresh(events[i].cookie))
           duplicate_at_.push_back(i);
       }
     }
-    dedup_runs_.push_back({&window, begin, end});
   }
+  // Then mark. A hub frame settles each source through its last cookie,
+  // matched or not (see dedup_window.hpp): marking only the matched
+  // events would leave a filtered consumer's watermark behind its first
+  // unmatched record, and its window would keep one entry per delivery.
+  const std::vector<core::StdEvent>& marked =
+      hub_frame != nullptr ? hub_frame->events : events;
+  if (hub_frame != nullptr && hub_frame != &batch) collect_runs_locked(marked);
   for (const DedupRun& run : dedup_runs_) {
+    std::uint64_t last_cookie = 0;
     for (std::size_t i = run.begin; i < run.end; ++i) {
-      if (events[i].cookie != 0) run.window->mark(events[i].cookie);
+      seen_.advance(run.shard, marked[i].id);
+      last_cookie = std::max(last_cookie, marked[i].cookie);
+    }
+    if (run.window == nullptr) continue;
+    if (hub_frame != nullptr) {
+      if (last_cookie != 0) run.window->mark_through(last_cookie);
+      continue;
+    }
+    for (std::size_t i = run.begin; i < run.end; ++i) {
+      if (marked[i].cookie != 0) run.window->mark(marked[i].cookie);
     }
   }
   last_seen_sum_.store(seen_.sum());
@@ -150,7 +199,7 @@ void Consumer::deliver_batch(const core::EventBatch& batch, bool dedup_filter,
     // the hub's credit window, not a transport high-water mark.
     overflow_dropped_gauge_->set(
         receiver_ != nullptr ? static_cast<std::int64_t>(receiver_->dropped()) : 0);
-    batch_size_hist_->record(batch.size());
+    if (!batch.empty()) batch_size_hist_->record(batch.size());
   }
   // The batch callback gets the batch itself when every event survives
   // dedup and filtering; the first dropped event switches to a copy of
@@ -268,31 +317,35 @@ void Consumer::acknowledge_processed(const VectorCursor& cursor) {
 Status Consumer::start() {
   if (running_.load()) return Status::ok();
   running_.store(true);
-  worker_ = std::jthread([this](std::stop_token stop) { run(stop); });
+  if (hub_sub_ != nullptr) {
+    options_.hub->attach(*hub_sub_, [this](const HubItem& item) { return on_hub_item(item); });
+  } else {
+    worker_ = std::jthread([this] { run(); });
+  }
   return Status::ok();
 }
 
 void Consumer::stop() {
   if (!running_.load()) return;
-  if (receiver_ != nullptr) receiver_->close();
-  if (worker_.joinable()) {
-    worker_.request_stop();
-    worker_.join();
+  if (hub_sub_ != nullptr) {
+    // After detach() no turn runs, so catch_up_ is this thread's alone.
+    options_.hub->detach(*hub_sub_);
+    if (catch_up_.joinable()) {
+      catch_up_.request_stop();
+      catch_up_.join();
+    }
+  } else {
+    receiver_->close();
+    if (worker_.joinable()) worker_.join();
   }
   running_.store(false);
 }
 
 void Consumer::crash() {
-  if (!running_.load()) return;
   // Fail-stop: identical teardown to stop() except semantically abrupt —
-  // frames queued in the inbox die with the process; nothing further is
-  // acknowledged.
-  if (receiver_ != nullptr) receiver_->close();
-  if (worker_.joinable()) {
-    worker_.request_stop();
-    worker_.join();
-  }
-  running_.store(false);
+  // frames queued in the private inbox die with the process; nothing
+  // further is acknowledged.
+  stop();
 }
 
 Status Consumer::restart() {
@@ -313,11 +366,7 @@ Status Consumer::restart() {
   return start();
 }
 
-void Consumer::run(std::stop_token stop) {
-  if (hub_sub_ != nullptr) {
-    run_hub(stop);
-    return;
-  }
+void Consumer::run() {
   for (;;) {
     auto message = receiver_->recv();
     if (!message) break;
@@ -332,50 +381,46 @@ void Consumer::run(std::stop_token stop) {
   }
 }
 
-void Consumer::run_hub(std::stop_token stop) {
-  while (!stop.stop_requested()) {
-    auto item = options_.hub->pop(*hub_sub_, std::chrono::milliseconds(100));
-    if (!item) {
-      if (evicted_.load()) break;
-      continue;  // timeout (or unsubscribe tearing down) — re-check stop
-    }
-    switch (item->kind) {
-      case HubItem::Kind::kBatch:
-        deliver_hub_item(*item);
-        break;
-      case HubItem::Kind::kDemoted:
+FanOutHub::Turn Consumer::on_hub_item(const HubItem& item) {
+  switch (item.kind) {
+    case HubItem::Kind::kBatch:
+      deliver_hub_item(item);
+      break;
+    case HubItem::Kind::kDemoted:
+      // The subscription stays parked (no live item reaches the
+      // callback) until the catch-up has closed the promotion seam.
+      catch_up_ = std::jthread([this](std::stop_token stop) {
         catch_up(stop);
-        break;
-      case HubItem::Kind::kEvicted:
-        evicted_.store(true);
-        return;
-    }
+        options_.hub->resume(*hub_sub_);
+      });
+      return FanOutHub::Turn::kPark;
+    case HubItem::Kind::kEvicted:
+      evicted_.store(true);
+      break;
   }
+  return FanOutHub::Turn::kContinue;
 }
 
 void Consumer::deliver_hub_item(const HubItem& item) {
-  core::EventBatch batch;
-  batch.events.reserve(item.indices.size());
-  {
-    std::lock_guard lock(deliver_mu_);
-    // Seam insurance: anything at or below the seen watermark was already
-    // delivered by a catch-up replay — duplicates are structurally
-    // impossible with this guard even if a frame races a promotion.
-    const common::EventId floor = seen_.at(item.shard);
-    for (std::uint32_t index : item.indices) {
-      const core::StdEvent& event = item.batch->events[index];
-      if (event.id <= floor) continue;
-      batch.events.push_back(event);
-    }
-    hub_processed_since_ack_ += item.indices.size();
-  }
-  deliver_batch(batch, /*dedup_filter=*/true, /*already_filtered=*/true);
-  // Advance the watermark over the whole frame (matched or not) so acks
-  // keep progressing for consumers whose rules match sparsely.
+  const core::EventBatch& frame = *item.batch;
   std::lock_guard lock(deliver_mu_);
-  seen_.advance(item.shard, item.last_id);
-  last_seen_sum_.store(seen_.sum());
-  maybe_ack_locked();
+  DeliveryOwner owner(deliver_owner_);
+  hub_processed_since_ack_ += item.indices.size();
+  // Seam insurance: anything at or below the seen watermark was already
+  // delivered by a catch-up replay — duplicates are structurally
+  // impossible with this guard even if a frame races a promotion.
+  const common::EventId floor = seen_.at(item.shard);
+  if (item.indices.size() == frame.size() && frame.events.front().id > floor) {
+    deliver_locked(frame, /*dedup_filter=*/true, /*already_filtered=*/true, &frame);
+    return;
+  }
+  core::EventBatch matched;
+  matched.events.reserve(item.indices.size());
+  for (std::uint32_t index : item.indices) {
+    const core::StdEvent& event = frame.events[index];
+    if (event.id > floor) matched.events.push_back(event);
+  }
+  deliver_locked(matched, /*dedup_filter=*/true, /*already_filtered=*/true, &frame);
 }
 
 Result<std::vector<core::StdEvent>> Consumer::next_replay_page(VectorCursor& cursor) const {

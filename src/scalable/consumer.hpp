@@ -52,11 +52,12 @@ struct ConsumerOptions {
   obs::MetricsRegistry* metrics = nullptr;
   /// Fan-out hub to ride instead of a private transport receiver. Null
   /// (default) keeps the legacy topology: own receiver on every shard
-  /// output, per-consumer filtering. Non-null subscribes this consumer's
-  /// compiled rules into the hub's shared index: matching happens once
-  /// per batch hub-side, and the hub's credit window demotes this
-  /// consumer to store replay if it stops draining. Must outlive the
-  /// consumer.
+  /// output, per-consumer filtering, own delivery thread. Non-null
+  /// subscribes this consumer's compiled rules into the hub's shared
+  /// index: matching happens once per batch hub-side, the hub's
+  /// delivery workers run the callback, and the hub's credit window
+  /// demotes this consumer to store replay if it stops draining. Must
+  /// outlive the consumer.
   FanOutHub* hub = nullptr;
   /// Manual acknowledgement: the consumer never advances the store ack
   /// cursor past what the application has declared durable via
@@ -86,16 +87,23 @@ class Consumer {
   Consumer(const Consumer&) = delete;
   Consumer& operator=(const Consumer&) = delete;
 
+  /// Start/stop delivery. Legacy mode owns a delivery thread; hub mode
+  /// attaches a handler to the hub's delivery workers (stop() detaches
+  /// it, waiting for a turn in flight, and stops a running catch-up).
+  /// Either way the callback is never invoked concurrently and sees
+  /// each stream in order.
   common::Status start();
   void stop();
 
-  /// Fail-stop this consumer: the worker exits, queued frames are lost
-  /// with it, nothing further is acked. restart() recovers.
+  /// Fail-stop this consumer: delivery stops, frames in the private
+  /// inbox are lost with it, nothing further is acked. (Hub-mode items
+  /// stay queued in the hub; restart() skips what its replay covered.)
+  /// restart() recovers.
   void crash();
   /// Restart after crash(): reopen the inbox (empty — a real restart has
-  /// no process memory), start the worker, and replay from the last
-  /// acknowledged cursor so nothing delivered-and-acked repeats and
-  /// nothing unacked is lost. Replayed and live deliveries overlapping
+  /// no process memory), replay from the last acknowledged cursor so
+  /// nothing delivered-and-acked repeats and nothing unacked is lost,
+  /// then resume delivery. Replayed and live deliveries overlapping
   /// during catch-up are collapsed by the per-source dedup window.
   common::Status restart();
 
@@ -104,7 +112,7 @@ class Consumer {
   /// filter and callback. The scalar is applied to every shard's slot —
   /// exact historic semantics with one shard; with several it is chiefly
   /// useful as 0 (full rewind). Runs on the caller's thread; delivery is
-  /// serialized with the live-delivery thread, so the callback is never
+  /// serialized with live delivery, so the callback is never
   /// invoked concurrently (but replayed and live batches may
   /// interleave). Passing an explicit `after_id` is an intentional
   /// rewind: the dedup window resets so the replayed range is delivered
@@ -128,6 +136,9 @@ class Consumer {
   std::uint64_t filtered_out() const { return filtered_.load(); }
   /// Duplicate events suppressed by the per-source dedup window.
   std::uint64_t duplicates_suppressed() const { return duplicates_.load(); }
+  /// Sequences the dedup windows hold above their watermarks, summed
+  /// over sources: deliveries still waiting for a predecessor.
+  std::size_t dedup_pending() const;
   /// Events lost to the high-water mark (only with kDropNewest).
   std::uint64_t dropped() const {
     return receiver_ != nullptr ? receiver_->dropped() : 0;
@@ -149,15 +160,19 @@ class Consumer {
   Consumer(msgq::Bus& bus, ShardedAggregator& aggregator, std::string name,
            ConsumerOptions options, EventCallback callback, BatchCallback batch_callback);
 
-  void run(std::stop_token stop);
-  /// Hub-mode worker loop: pops hub items, delivers matched batches, and
-  /// runs the demotion/promotion protocol on marker items.
-  void run_hub(std::stop_token stop);
+  /// Legacy delivery thread: decode and deliver private-inbox frames.
+  void run();
+  /// Hub handler, run on a hub delivery worker: delivers batch items,
+  /// and on a kDemoted marker parks the subscription while catch_up
+  /// runs on its own thread (which resumes it when done).
+  FanOutHub::Turn on_hub_item(const HubItem& item);
   /// Deliver one hub batch item: the index already matched the events,
   /// so delivery skips local filtering, guards against ids at or below
-  /// the seen watermark (replay/live seam insurance), and advances the
-  /// per-shard watermark to the frame's unfiltered last id so acks keep
-  /// progressing across frames that matched nothing for this consumer.
+  /// the seen watermark (replay/live seam insurance), and marks and
+  /// advances over the whole frame, matched or not, so acks and the
+  /// dedup watermark keep progressing for consumers whose rules match
+  /// sparsely. Hands the frame itself to the callback when every event
+  /// matched and none was seen before.
   void deliver_hub_item(const HubItem& item);
   /// Demoted catch-up: page the merged store replay through this
   /// consumer's own rules until within promotion range, promote, then
@@ -177,7 +192,7 @@ class Consumer {
   /// `batch` itself when every event survives dedup and filtering, else
   /// one copy of the survivors. Serialized by
   /// `deliver_mu_` so the callback sees at most one thread at a time
-  /// even when replay_historic runs concurrently with the worker.
+  /// even when replay_historic runs concurrently with live delivery.
   /// With `dedup_filter` false the batch bypasses the duplicate filter
   /// (an intentional rewind) but still marks the window, so subsequent
   /// live duplicates of the replayed range are suppressed. With
@@ -185,6 +200,15 @@ class Consumer {
   /// and local rule evaluation (and its counters) is skipped.
   void deliver_batch(const core::EventBatch& batch, bool dedup_filter = true,
                      bool already_filtered = false);
+  /// deliver_batch's body; caller holds deliver_mu_. Duplicates are
+  /// decided on `batch` first. Then, for a hub item, the whole
+  /// `hub_frame` it was matched from is marked and the seen watermark
+  /// advanced over it; otherwise `batch` itself is.
+  void deliver_locked(const core::EventBatch& batch, bool dedup_filter,
+                      bool already_filtered, const core::EventBatch* hub_frame);
+  /// Fill dedup_runs_ with the same-source runs of `events`; caller
+  /// holds deliver_mu_.
+  void collect_runs_locked(const std::vector<core::StdEvent>& events);
   /// Ack-interval check; caller holds deliver_mu_. Routes the cursor to
   /// the hub (min-ack + credit replenish) or straight to the aggregator.
   void maybe_ack_locked();
@@ -208,7 +232,8 @@ class Consumer {
   /// deliver_batch scratch, reused across batches so the steady state
   /// allocates nothing per batch. Guarded by deliver_mu_.
   struct DedupRun {
-    SourceDedupWindow* window;
+    SourceDedupWindow* window;  ///< Null for events without a source.
+    std::size_t shard;
     std::size_t begin;
     std::size_t end;
   };
@@ -222,7 +247,7 @@ class Consumer {
   mutable std::mutex ack_floor_mu_;
   VectorCursor ack_floor_;
   bool ack_floor_dirty_ = false;  ///< Guarded by ack_floor_mu_.
-  std::jthread worker_;
+  std::jthread worker_;  ///< Legacy mode only.
   std::atomic<std::uint64_t> delivered_{0};
   std::atomic<std::uint64_t> filtered_{0};
   std::atomic<std::uint64_t> duplicates_{0};
@@ -243,6 +268,9 @@ class Consumer {
   obs::Gauge* delivery_lag_gauge_ = nullptr;
   obs::Gauge* overflow_dropped_gauge_ = nullptr;
   obs::HistogramMetric* batch_size_hist_ = nullptr;
+  /// Hub mode: the demoted catch-up, started by on_hub_item. Touched only
+  /// inside a delivery turn or after detach(), so never concurrently.
+  std::jthread catch_up_;
 };
 
 }  // namespace fsmon::scalable

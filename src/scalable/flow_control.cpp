@@ -12,6 +12,14 @@ namespace {
 /// Pump frames between unsolicited min-ack forwards (covers the
 /// nobody-is-acking case; every consumer ack still forwards eagerly).
 constexpr std::size_t kIdleForwardInterval = 64;
+/// Items one delivery turn hands a subscription's handler before the
+/// worker moves on, so one busy subscription cannot hold a worker.
+constexpr std::size_t kTurnItems = 16;
+/// A worker inside one turn for longer than this counts as stuck in a
+/// callback. When every worker is stuck and work waits, the pool starts
+/// one more worker. Far above a normal turn, so it fires on callbacks
+/// that block, not on slow ones.
+constexpr auto kHandoffAfter = std::chrono::milliseconds(20);
 }  // namespace
 
 std::string_view to_string(FlowState state) {
@@ -42,6 +50,13 @@ FlowMetrics FlowMetrics::create(obs::MetricsRegistry& registry,
   m.demoted = &registry.gauge("flow.demoted_subscribers", labels,
                               "Subscriptions catching up from the store",
                               "subscribers");
+  m.delivery_workers = &registry.gauge(
+      "flow.delivery_workers", labels,
+      "Hub delivery workers running (pool size plus handoff workers)", "threads");
+  m.delivery_handoffs = &registry.counter(
+      "flow.delivery_handoffs", labels,
+      "Extra delivery workers started because every worker was stuck in a callback",
+      "workers");
   return m;
 }
 
@@ -52,7 +67,8 @@ FanOutHub::FanOutHub(ShardedAggregator& aggregator, FlowControlOptions options)
                  ? SubIndexMetrics::create(*options.metrics)
                  : SubIndexMetrics{}),
       heads_(aggregator.shard_count()),
-      forwarded_(aggregator.shard_count()) {
+      forwarded_(aggregator.shard_count()),
+      pool_size_(std::max<std::size_t>(2, std::thread::hardware_concurrency())) {
   if (options_.credit_window == 0) options_.credit_window = 1;
   if (options_.promote_lag == 0)
     options_.promote_lag = std::max<std::uint64_t>(1, options_.credit_window / 4);
@@ -74,6 +90,12 @@ FanOutHub::~FanOutHub() { stop(); }
 Status FanOutHub::start() {
   if (running_.load()) return Status::ok();
   running_.store(true);
+  {
+    std::lock_guard lock(pool_mu_);
+    pool_stopping_ = false;
+    for (std::size_t i = 0; i < pool_size_; ++i) start_worker_locked();
+  }
+  monitor_thread_ = std::thread([this] { handoff_monitor(); });
   pump_thread_ = std::jthread([this](std::stop_token stop) { pump(stop); });
   return Status::ok();
 }
@@ -88,6 +110,22 @@ void FanOutHub::stop() {
   if (pump_thread_.joinable()) {
     pump_thread_.request_stop();
     pump_thread_.join();
+  }
+  // Workers finish the turn they are in; queued items stay queued.
+  std::list<Worker> workers;
+  {
+    std::lock_guard lock(pool_mu_);
+    pool_stopping_ = true;
+    workers.swap(workers_);
+  }
+  work_cv_.notify_all();
+  monitor_cv_.notify_all();
+  if (monitor_thread_.joinable()) monitor_thread_.join();
+  for (Worker& worker : workers) worker.thread.join();
+  {
+    std::lock_guard lock(pool_mu_);
+    live_workers_ = 0;
+    if (metrics_.delivery_workers != nullptr) metrics_.delivery_workers->set(0);
   }
   running_.store(false);
 }
@@ -133,22 +171,56 @@ void FanOutHub::unsubscribe(Subscription& sub) {
   }
   std::lock_guard qlock(sub.queue_mu_);
   sub.queue_closed_ = true;
-  sub.queue_cv_.notify_all();
+  sub.queue_.clear();
 }
 
-std::optional<HubItem> FanOutHub::pop(Subscription& sub,
-                                      std::chrono::milliseconds timeout) {
-  std::unique_lock lock(sub.queue_mu_);
-  auto ready = [&sub] { return !sub.queue_.empty() || sub.queue_closed_; };
-  if (timeout.count() < 0) {
-    sub.queue_cv_.wait(lock, ready);
-  } else if (!sub.queue_cv_.wait_for(lock, timeout, ready)) {
-    return std::nullopt;
+void FanOutHub::attach(Subscription& sub, Handler handler) {
+  SubscriptionList ready;
+  {
+    std::lock_guard hub_lock(mu_);
+    std::lock_guard lock(sub.queue_mu_);
+    sub.handler_ = std::move(handler);
+    sub.attached_ = true;
+    if (sub.state_ == FlowState::kDemoted && !sub.catch_up_queued_ && !sub.queue_closed_) {
+      HubItem marker;
+      marker.kind = HubItem::Kind::kDemoted;
+      sub.queue_.push_back(std::move(marker));
+      sub.catch_up_queued_ = true;
+    }
+    if (sub.delivery_ == Subscription::Delivery::kIdle && !sub.queue_.empty()) {
+      sub.delivery_ = Subscription::Delivery::kQueued;
+      ready.push_back(sub.shared_from_this());
+    }
   }
-  if (sub.queue_.empty()) return std::nullopt;  // closed
-  HubItem item = std::move(sub.queue_.front());
-  sub.queue_.pop_front();
-  return item;
+  schedule(ready);
+}
+
+void FanOutHub::detach(Subscription& sub) {
+  std::unique_lock lock(sub.queue_mu_);
+  sub.attached_ = false;
+  sub.turn_done_.wait(lock, [&sub] {
+    return sub.delivery_ != Subscription::Delivery::kRunning;
+  });
+  // A queued subscription stays on the run queue; the worker that takes
+  // it sees it detached and sets it idle.
+  if (sub.delivery_ == Subscription::Delivery::kParked)
+    sub.delivery_ = Subscription::Delivery::kIdle;
+  sub.handler_ = nullptr;
+}
+
+void FanOutHub::resume(Subscription& sub) {
+  SubscriptionList ready;
+  {
+    std::lock_guard lock(sub.queue_mu_);
+    if (sub.delivery_ != Subscription::Delivery::kParked) return;
+    if (sub.attached_ && !sub.queue_.empty()) {
+      sub.delivery_ = Subscription::Delivery::kQueued;
+      ready.push_back(sub.shared_from_this());
+    } else {
+      sub.delivery_ = Subscription::Delivery::kIdle;
+    }
+  }
+  schedule(ready);
 }
 
 void FanOutHub::acknowledge(Subscription& sub, const VectorCursor& cursor,
@@ -199,26 +271,37 @@ VectorCursor FanOutHub::head_cursor() const {
   return heads_;
 }
 
-void FanOutHub::push_item(Subscription& sub, HubItem item) {
-  std::lock_guard lock(sub.queue_mu_);
-  if (sub.queue_closed_) return;
-  sub.queue_.push_back(std::move(item));
-  sub.queue_cv_.notify_one();
+std::size_t FanOutHub::delivery_workers() const {
+  std::lock_guard lock(pool_mu_);
+  return live_workers_;
 }
 
-void FanOutHub::demote_locked(Subscription& sub) {
-  sub.state_ = FlowState::kDemoted;
-  demoted_.push_back(sub.id_);
+void FanOutHub::push_item(const std::shared_ptr<Subscription>& sub, HubItem item,
+                          SubscriptionList& ready) {
+  std::lock_guard lock(sub->queue_mu_);
+  if (sub->queue_closed_) return;
+  if (item.kind == HubItem::Kind::kDemoted) sub->catch_up_queued_ = true;
+  sub->queue_.push_back(std::move(item));
+  if (sub->attached_ && sub->delivery_ == Subscription::Delivery::kIdle) {
+    sub->delivery_ = Subscription::Delivery::kQueued;
+    ready.push_back(sub);
+  }
+}
+
+void FanOutHub::demote_locked(const std::shared_ptr<Subscription>& sub,
+                              SubscriptionList& ready) {
+  sub->state_ = FlowState::kDemoted;
+  demoted_.push_back(sub->id_);
   --live_count_;
   ++demoted_count_;
   if (metrics_.demotions != nullptr) metrics_.demotions->inc();
   update_gauges_locked();
   HubItem marker;
   marker.kind = HubItem::Kind::kDemoted;
-  push_item(sub, std::move(marker));
+  push_item(sub, std::move(marker), ready);
 }
 
-void FanOutHub::evict_overdue_locked() {
+void FanOutHub::evict_overdue_locked(SubscriptionList& ready) {
   if (options_.eviction_lag == 0 || demoted_.empty()) return;
   const std::uint64_t head = heads_.sum();
   for (std::size_t i = 0; i < demoted_.size();) {
@@ -231,7 +314,7 @@ void FanOutHub::evict_overdue_locked() {
       if (metrics_.evictions != nullptr) metrics_.evictions->inc();
       HubItem marker;
       marker.kind = HubItem::Kind::kEvicted;
-      push_item(*sub, std::move(marker));
+      push_item(sub, std::move(marker), ready);
       demoted_[i] = demoted_.back();
       demoted_.pop_back();
       forward_acks_locked();
@@ -239,6 +322,142 @@ void FanOutHub::evict_overdue_locked() {
     } else {
       ++i;
     }
+  }
+}
+
+void FanOutHub::schedule(SubscriptionList& ready) {
+  if (ready.empty()) return;
+  std::size_t wake = 0;
+  bool arm_monitor = false;
+  {
+    std::lock_guard lock(pool_mu_);
+    for (auto& sub : ready) run_queue_.push_back(std::move(sub));
+    // Wake only workers that are idle and not already woken: a busy
+    // worker takes the next subscription when its turn ends.
+    const std::size_t idle =
+        idle_workers_ > wakes_pending_ ? idle_workers_ - wakes_pending_ : 0;
+    wake = std::min(ready.size(), idle);
+    wakes_pending_ += wake;
+    if (wake < ready.size() && !monitor_armed_) {
+      monitor_armed_ = true;
+      arm_monitor = true;
+    }
+  }
+  ready.clear();
+  for (std::size_t i = 0; i < wake; ++i) work_cv_.notify_one();
+  if (arm_monitor) monitor_cv_.notify_one();
+}
+
+void FanOutHub::start_worker_locked() {
+  for (auto it = workers_.begin(); it != workers_.end();) {
+    if (it->exited) {
+      it->thread.join();  // it has released pool_mu_ and is ending
+      it = workers_.erase(it);
+    } else {
+      ++it;
+    }
+  }
+  Worker& worker = workers_.emplace_back();
+  worker.thread = std::thread([this, &worker] { worker_loop(worker); });
+  ++live_workers_;
+  if (metrics_.delivery_workers != nullptr)
+    metrics_.delivery_workers->set(static_cast<std::int64_t>(live_workers_));
+}
+
+void FanOutHub::worker_loop(Worker& self) {
+  std::shared_ptr<Subscription> sub;
+  bool requeue = false;
+  for (;;) {
+    {
+      std::unique_lock lock(pool_mu_);
+      self.in_turn = false;
+      if (requeue) run_queue_.push_back(std::move(sub));
+      while (run_queue_.empty() && !pool_stopping_) {
+        if (live_workers_ > pool_size_) {
+          // A handoff worker with nothing to do: the pool shrinks back.
+          --live_workers_;
+          if (metrics_.delivery_workers != nullptr)
+            metrics_.delivery_workers->set(static_cast<std::int64_t>(live_workers_));
+          self.exited = true;
+          return;
+        }
+        ++idle_workers_;
+        work_cv_.wait(lock);
+        --idle_workers_;
+        if (wakes_pending_ > 0) --wakes_pending_;
+      }
+      if (pool_stopping_) return;
+      sub = std::move(run_queue_.front());
+      run_queue_.pop_front();
+      self.in_turn = true;
+      self.turn_start = std::chrono::steady_clock::now();
+    }
+    requeue = run_turn(*sub);
+    if (!requeue) sub.reset();
+  }
+}
+
+bool FanOutHub::run_turn(Subscription& sub) {
+  using Delivery = Subscription::Delivery;
+  {
+    std::lock_guard lock(sub.queue_mu_);
+    if (!sub.attached_) {
+      sub.delivery_ = Delivery::kIdle;
+      return false;
+    }
+    sub.delivery_ = Delivery::kRunning;
+  }
+  // handler_ is only replaced while the subscription is detached and no
+  // turn runs, so it is read here without the lock.
+  for (std::size_t n = 0; n < kTurnItems; ++n) {
+    HubItem item;
+    {
+      std::lock_guard lock(sub.queue_mu_);
+      if (!sub.attached_ || sub.queue_.empty()) break;
+      item = std::move(sub.queue_.front());
+      sub.queue_.pop_front();
+      if (item.kind == HubItem::Kind::kDemoted) sub.catch_up_queued_ = false;
+    }
+    if (sub.handler_(item) == Turn::kPark) {
+      std::lock_guard lock(sub.queue_mu_);
+      sub.delivery_ = Delivery::kParked;
+      sub.turn_done_.notify_all();
+      return false;
+    }
+  }
+  std::lock_guard lock(sub.queue_mu_);
+  const bool again = sub.attached_ && !sub.queue_.empty();
+  sub.delivery_ = again ? Delivery::kQueued : Delivery::kIdle;
+  if (!sub.attached_) sub.turn_done_.notify_all();
+  return again;
+}
+
+void FanOutHub::handoff_monitor() {
+  std::unique_lock lock(pool_mu_);
+  while (!pool_stopping_) {
+    if (run_queue_.empty() || idle_workers_ > wakes_pending_) {
+      // Nothing waits, or an idle worker is free to take it.
+      monitor_armed_ = false;
+      monitor_cv_.wait(lock);
+      continue;
+    }
+    bool all_stuck = true;
+    auto youngest_turn = std::chrono::steady_clock::time_point::min();
+    for (const Worker& worker : workers_) {
+      if (worker.exited) continue;
+      if (!worker.in_turn) {
+        all_stuck = false;  // between turns: it takes queued work next
+        break;
+      }
+      youngest_turn = std::max(youngest_turn, worker.turn_start);
+    }
+    const auto now = std::chrono::steady_clock::now();
+    if (all_stuck && now - youngest_turn >= kHandoffAfter) {
+      start_worker_locked();
+      if (metrics_.delivery_handoffs != nullptr) metrics_.delivery_handoffs->inc();
+      continue;
+    }
+    monitor_cv_.wait_until(lock, (all_stuck ? youngest_turn : now) + kHandoffAfter);
   }
 }
 
@@ -302,6 +521,8 @@ void FanOutHub::update_gauges_locked() {
 
 void FanOutHub::pump(std::stop_token stop) {
   DeliverySet delivery;
+  std::vector<SubscriberId> touched;
+  SubscriptionList ready;
   while (!stop.stop_requested()) {
     auto frame = receiver_->recv();
     if (!frame) break;
@@ -326,41 +547,46 @@ void FanOutHub::pump(std::stop_token stop) {
     // subscribe/ack calls are never blocked behind a large batch.
     index_.match_batch(batch->events, delivery);
     frames_.fetch_add(1);
+    // Schedule in subscription order, so the earliest subscriptions
+    // (a catch-all is usually first) reach a worker first.
+    touched.assign(delivery.touched().begin(), delivery.touched().end());
+    std::sort(touched.begin(), touched.end());
 
-    std::lock_guard lock(mu_);
-    pending_valid_ = false;
-    heads_.advance(shard, batch->events.back().id);
-    for (SubscriberId id : delivery.touched()) {
-      if (id >= subs_.size() || !subs_[id]) continue;
-      Subscription& sub = *subs_[id];
-      if (sub.state_ != FlowState::kLive) continue;
-      if (sub.credits_ <= 0) {
-        // The window went negative on an earlier frame (frames are
-        // delivered whole); this one is not delivered — the catch-up
-        // replay will cover it.
-        demote_locked(sub);
-        continue;
+    {
+      std::lock_guard lock(mu_);
+      pending_valid_ = false;
+      heads_.advance(shard, batch->events.back().id);
+      for (SubscriberId id : touched) {
+        if (id >= subs_.size() || !subs_[id]) continue;
+        const std::shared_ptr<Subscription>& sub = subs_[id];
+        if (sub->state_ != FlowState::kLive) continue;
+        if (sub->credits_ <= 0) {
+          // The window went negative on an earlier frame (frames are
+          // delivered whole); this one is not delivered — the catch-up
+          // replay will cover it.
+          demote_locked(sub, ready);
+          continue;
+        }
+        const auto indices = delivery.indices_for(id);
+        HubItem item;
+        item.batch = batch;
+        item.indices.assign(indices.begin(), indices.end());
+        item.shard = shard;
+        sub->credits_ -= static_cast<std::int64_t>(indices.size());
+        push_item(sub, std::move(item), ready);
       }
-      const auto indices = delivery.indices_for(id);
-      HubItem item;
-      item.batch = batch;
-      item.indices.assign(indices.begin(), indices.end());
-      item.shard = shard;
-      item.first_id = batch->events.front().id;
-      item.last_id = batch->events.back().id;
-      sub.credits_ -= static_cast<std::int64_t>(indices.size());
-      push_item(sub, std::move(item));
+      evict_overdue_locked(ready);
+      // Amortized min-ack forwarding: acknowledge() already forwards on
+      // every consumer ack, but when no subscription's rules match (so no
+      // consumer ever acks) retention would still grow with heads_. The
+      // periodic forward lets idle subscribers' effective cursors (see
+      // forward_acks_locked) release the stores.
+      if (++frames_since_forward_ >= kIdleForwardInterval) {
+        frames_since_forward_ = 0;
+        forward_acks_locked();
+      }
     }
-    evict_overdue_locked();
-    // Amortized min-ack forwarding: acknowledge() already forwards on
-    // every consumer ack, but when no subscription's rules match (so no
-    // consumer ever acks) retention would still grow with heads_. The
-    // periodic forward lets idle subscribers' effective cursors (see
-    // forward_acks_locked) release the stores.
-    if (++frames_since_forward_ >= kIdleForwardInterval) {
-      frames_since_forward_ = 0;
-      forward_acks_locked();
-    }
+    schedule(ready);
   }
 }
 

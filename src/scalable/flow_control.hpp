@@ -12,6 +12,19 @@
 // pushes {shared decoded batch, matched indices} items into per-consumer
 // queues. Matching cost grows with matched events, not subscriber count.
 //
+// Delivery runs on a small pool of workers owned by the hub, not on a
+// thread per subscriber. A queue that gains an item puts its
+// subscription on the pool's run queue (once: a subscription is either
+// idle, queued, running on one worker, or parked); a worker runs the
+// subscription's handler on a bounded turn of items in queue order and
+// then releases it or queues it again. One worker at a time per
+// subscription keeps each consumer's callback serial and in order. A
+// handler may park its subscription (the consumer's store catch-up runs
+// on its own thread meanwhile) and resume() it later. If every worker
+// has been inside one turn for longer than a fixed threshold while work
+// waits — callbacks that block — the pool starts one more worker; a
+// surplus worker exits once it finds the run queue empty.
+//
 // Flow control is credit-based: each subscription carries a credit
 // window counted in delivered events; credits are consumed when a batch
 // is queued (a frame may drive the window one batch negative so frames
@@ -32,9 +45,12 @@
 // consumer's watermark race ahead of the slowest's replay needs.)
 #pragma once
 
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -67,8 +83,6 @@ struct HubItem {
   std::shared_ptr<const core::EventBatch> batch;
   std::vector<std::uint32_t> indices;  ///< Matched event indices, batch order.
   std::size_t shard = 0;
-  common::EventId first_id = 0;  ///< Unfiltered frame id range (watermarks).
-  common::EventId last_id = 0;
 };
 
 struct FlowControlOptions {
@@ -96,6 +110,8 @@ struct FlowMetrics {
   obs::Counter* evictions = nullptr;
   obs::Gauge* live = nullptr;
   obs::Gauge* demoted = nullptr;
+  obs::Gauge* delivery_workers = nullptr;
+  obs::Counter* delivery_handoffs = nullptr;
 
   static FlowMetrics create(obs::MetricsRegistry& registry,
                             const obs::Labels& labels = {});
@@ -103,20 +119,35 @@ struct FlowMetrics {
 
 class FanOutHub {
  public:
+  /// What a delivery handler tells its worker after one item.
+  enum class Turn : std::uint8_t {
+    kContinue,  ///< Go on with the subscription's next item.
+    kPark,      ///< Stop delivering until resume(); stays owned meanwhile.
+  };
+  /// Runs on a delivery worker, never concurrently for one subscription,
+  /// on the subscription's items in queue order.
+  using Handler = std::function<Turn(const HubItem&)>;
+
   /// Opaque per-consumer handle. All state is owned and mutated by the
   /// hub; consumers interact through the hub methods below.
-  class Subscription {
+  class Subscription : public std::enable_shared_from_this<Subscription> {
    private:
     friend class FanOutHub;
+    /// Where the subscription stands with the delivery pool.
+    enum class Delivery : std::uint8_t { kIdle, kQueued, kRunning, kParked };
     std::string name_;
     SubscriberId id_ = 0;
     FlowState state_ = FlowState::kLive;
     std::int64_t credits_ = 0;
     VectorCursor acked_;        ///< Last cursor the consumer acknowledged.
     std::mutex queue_mu_;
-    std::condition_variable queue_cv_;
+    std::condition_variable turn_done_;  ///< detach() waits out a turn.
     std::deque<HubItem> queue_;
     bool queue_closed_ = false;
+    Handler handler_;         ///< Written only while no turn can run.
+    bool attached_ = false;
+    bool catch_up_queued_ = false;  ///< A kDemoted marker is in queue_.
+    Delivery delivery_ = Delivery::kIdle;
   };
 
   FanOutHub(ShardedAggregator& aggregator, FlowControlOptions options);
@@ -138,11 +169,18 @@ class FanOutHub {
   /// and releases its hold on the min-ack watermark.
   void unsubscribe(Subscription& sub);
 
-  /// Pop the next item for this subscription. Blocks up to `timeout`
-  /// (<= 0 waits indefinitely); nullopt on timeout or after unsubscribe.
-  std::optional<HubItem> pop(
-      Subscription& sub,
-      std::chrono::milliseconds timeout = std::chrono::milliseconds(-1));
+  /// Start delivering this subscription's queue (items already queued
+  /// first) to `handler` on the delivery workers. Call only while
+  /// detached. A subscription still demoted with no kDemoted marker
+  /// queued (its catch-up was stopped before promotion) gets a fresh
+  /// marker, so the handler catches up again.
+  void attach(Subscription& sub, Handler handler);
+  /// Stop delivering: waits for a turn in flight and releases a parked
+  /// subscription. Queued items stay for the next attach().
+  void detach(Subscription& sub);
+  /// Release a subscription its handler parked: delivery continues with
+  /// the next queued item. No-op unless parked.
+  void resume(Subscription& sub);
 
   /// Consumer progress report: `cursor` is the consumer's per-shard seen
   /// watermark (forwarded to the stores as the min across subscriptions),
@@ -169,12 +207,37 @@ class FanOutHub {
 
   SubscriptionIndex& index() { return index_; }
   std::uint64_t frames_pumped() const { return frames_.load(); }
+  /// Delivery workers running now: the pool size, plus any started
+  /// because every worker was stuck in a callback.
+  std::size_t delivery_workers() const;
+  /// Size of the standing pool: max(2, hardware threads).
+  std::size_t pool_size() const { return pool_size_; }
 
  private:
+  using SubscriptionList = std::vector<std::shared_ptr<Subscription>>;
+  /// One delivery worker. Its fields other than `thread` are guarded by
+  /// pool_mu_.
+  struct Worker {
+    std::thread thread;
+    bool in_turn = false;
+    std::chrono::steady_clock::time_point turn_start;
+    bool exited = false;
+  };
+
   void pump(std::stop_token stop);
-  void push_item(Subscription& sub, HubItem item);
-  void demote_locked(Subscription& sub);
-  void evict_overdue_locked();
+  /// Queue an item; appends `sub` to `ready` when it must be scheduled.
+  void push_item(const std::shared_ptr<Subscription>& sub, HubItem item,
+                 SubscriptionList& ready);
+  void demote_locked(const std::shared_ptr<Subscription>& sub, SubscriptionList& ready);
+  void evict_overdue_locked(SubscriptionList& ready);
+  /// Put subscriptions on the run queue and wake idle workers for them.
+  void schedule(SubscriptionList& ready);
+  void start_worker_locked();
+  void worker_loop(Worker& self);
+  /// Run one turn of `sub`; true when it must go back on the run queue.
+  bool run_turn(Subscription& sub);
+  /// Watches for turns that never end and starts extra workers.
+  void handoff_monitor();
   /// Forward the min acked cursor across non-evicted subs to the stores.
   void forward_acks_locked();
   std::size_t shard_of_topic(std::string_view topic) const;
@@ -208,6 +271,21 @@ class FanOutHub {
   /// Frames since the pump last forwarded the min-ack (guarded by mu_);
   /// keeps retention moving when no consumer is acking.
   std::size_t frames_since_forward_ = 0;
+
+  // Delivery pool. Lock order: mu_, then a subscription's queue_mu_,
+  // then pool_mu_.
+  const std::size_t pool_size_;
+  mutable std::mutex pool_mu_;
+  std::condition_variable work_cv_;     ///< Idle workers wait here.
+  std::condition_variable monitor_cv_;  ///< The handoff monitor waits here.
+  std::deque<std::shared_ptr<Subscription>> run_queue_;
+  std::list<Worker> workers_;    ///< Stable addresses; exited ones reaped.
+  std::size_t live_workers_ = 0;
+  std::size_t idle_workers_ = 0;   ///< Waiting on work_cv_.
+  std::size_t wakes_pending_ = 0;  ///< Notified, not yet awake.
+  bool monitor_armed_ = false;
+  bool pool_stopping_ = false;
+  std::thread monitor_thread_;
 };
 
 }  // namespace fsmon::scalable

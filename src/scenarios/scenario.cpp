@@ -522,7 +522,10 @@ std::uint64_t run_subscriber_churn(const ScenarioSpec& spec, Runtime& rt,
     ++churns;
     if (hub != nullptr) {
       auto sub = hub->subscribe("churn-" + std::to_string(i), {});
-      (void)hub->pop(*sub, std::chrono::milliseconds(1));
+      hub->attach(*sub, [](const scalable::HubItem&) {
+        return scalable::FanOutHub::Turn::kContinue;
+      });
+      hub->detach(*sub);
       hub->unsubscribe(*sub);
       ++churns;
     }

@@ -1,11 +1,16 @@
 // FanOutHub end-to-end: hub-mode delivery parity, slow-consumer
-// demotion/promotion (gap-free, duplicate-free seam), eviction, and
-// min-ack forwarding to the reliable stores.
+// demotion/promotion (gap-free, duplicate-free seam), eviction, min-ack
+// forwarding to the reliable stores, and the delivery worker pool
+// (thread bound, blocked-callback handoff, zero-copy frames, dedup
+// window bound, crash/restart).
 #include <atomic>
 #include <condition_variable>
 #include <filesystem>
+#include <map>
 #include <mutex>
 #include <set>
+#include <thread>
+#include <utility>
 
 #include <unistd.h>
 
@@ -396,6 +401,350 @@ TEST_F(FlowControlTest, MinAckHoldsStorePurgeForDemotedConsumer) {
   stalled->stop();
   healthy->stop();
   monitor.stop();
+}
+
+TEST_F(FlowControlTest, HundredSubscribersRunOnThePoolOnly) {
+  // Delivery runs on the hub's worker pool: 100 subscribers' callbacks
+  // share at most pool_size() threads instead of one thread each.
+  LustreFs fs(LustreFsOptions{}, clock);
+  ScalableMonitor monitor(fs, options(/*with_store=*/false), clock);
+  constexpr int kConsumers = 100;
+  constexpr int kFiles = 400;
+  std::mutex threads_mu;
+  std::set<std::thread::id> threads;
+  std::atomic<int> delivered{0};
+  std::vector<std::unique_ptr<Consumer>> consumers;
+  for (int c = 0; c < kConsumers; ++c) {
+    consumers.push_back(monitor.make_consumer(
+        "c" + std::to_string(c), ConsumerOptions{}, [&](const core::EventBatch& batch) {
+          {
+            std::lock_guard lock(threads_mu);
+            threads.insert(std::this_thread::get_id());
+          }
+          delivered.fetch_add(static_cast<int>(batch.size()));
+        }));
+  }
+  ASSERT_TRUE(monitor.start().is_ok());
+  for (auto& consumer : consumers) ASSERT_TRUE(consumer->start().is_ok());
+  for (int i = 0; i < kFiles; ++i)
+    ASSERT_TRUE(fs.create("/f" + std::to_string(i)).is_ok());
+  ASSERT_TRUE(wait_until([&] { return delivered.load() >= kConsumers * kFiles; }));
+  EXPECT_EQ(monitor.hub()->delivery_workers(), monitor.hub()->pool_size());
+  for (auto& consumer : consumers) consumer->stop();
+  monitor.stop();
+  EXPECT_EQ(delivered.load(), kConsumers * kFiles);
+  EXPECT_LE(threads.size(), monitor.hub()->pool_size());
+}
+
+TEST_F(FlowControlTest, BlockedCallbacksDoNotStallAHealthySubscriber) {
+  // More callbacks block than the pool has workers: the handoff starts
+  // extra workers, so the healthy subscriber — scheduled after every
+  // blocked one — still receives every event. Released, the pool
+  // shrinks back to its standing size.
+  LustreFs fs(LustreFsOptions{}, clock);
+  obs::MetricsRegistry registry;
+  ScalableMonitorOptions o = options(/*with_store=*/false);
+  o.aggregator.metrics = &registry;
+  ScalableMonitor monitor(fs, o, clock);
+  const std::size_t blocked_count = monitor.hub()->pool_size() + 1;
+
+  std::atomic<bool> gate_closed{true};
+  std::mutex gate_mu;
+  std::condition_variable gate_cv;
+  std::atomic<std::size_t> blocked_entered{0};
+  std::atomic<int> healthy_count{0};
+  std::vector<std::unique_ptr<Consumer>> blocked;
+  for (std::size_t b = 0; b < blocked_count; ++b) {
+    blocked.push_back(monitor.make_consumer(
+        "blocked" + std::to_string(b), ConsumerOptions{}, [&](const core::EventBatch&) {
+          blocked_entered.fetch_add(1);
+          std::unique_lock lock(gate_mu);
+          gate_cv.wait(lock, [&] { return !gate_closed.load(); });
+        }));
+  }
+  auto healthy = monitor.make_consumer("healthy", ConsumerOptions{},
+                                       [&](const StdEvent&) { healthy_count.fetch_add(1); });
+  GateGuard guard{gate_closed, gate_cv};
+  ASSERT_TRUE(monitor.start().is_ok());
+  for (auto& consumer : blocked) ASSERT_TRUE(consumer->start().is_ok());
+  ASSERT_TRUE(healthy->start().is_ok());
+
+  constexpr int kFiles = 300;
+  for (int i = 0; i < kFiles; ++i)
+    ASSERT_TRUE(fs.create("/f" + std::to_string(i)).is_ok());
+  ASSERT_TRUE(wait_until([&] { return healthy_count.load() >= kFiles; }))
+      << "healthy=" << healthy_count.load() << " blocked=" << blocked_entered.load()
+      << " workers=" << monitor.hub()->delivery_workers();
+  // Every blocked callback holds a worker, so the healthy subscriber
+  // ran on a worker started by the handoff.
+  EXPECT_TRUE(wait_until([&] { return blocked_entered.load() >= blocked_count; }));
+  EXPECT_GT(monitor.hub()->delivery_workers(), monitor.hub()->pool_size());
+  EXPECT_GE(registry.counter("flow.delivery_handoffs").value(), 2u);
+
+  gate_closed.store(false);
+  gate_cv.notify_all();
+  EXPECT_TRUE(wait_until(
+      [&] { return monitor.hub()->delivery_workers() == monitor.hub()->pool_size(); }));
+  healthy->stop();
+  for (auto& consumer : blocked) consumer->stop();
+  monitor.stop();
+  EXPECT_EQ(healthy_count.load(), kFiles);
+}
+
+TEST_F(FlowControlTest, StopReturnsWhileASiblingCallbackIsBlocked) {
+  // stop() waits only for its own subscription's turn, never for the
+  // worker another subscriber's callback holds.
+  LustreFs fs(LustreFsOptions{}, clock);
+  ScalableMonitor monitor(fs, options(/*with_store=*/false), clock);
+  std::atomic<bool> gate_closed{true};
+  std::mutex gate_mu;
+  std::condition_variable gate_cv;
+  std::atomic<bool> blocked_entered{false};
+  std::atomic<int> count{0};
+  auto blocked = monitor.make_consumer("blocked", ConsumerOptions{},
+                                       [&](const core::EventBatch&) {
+                                         blocked_entered.store(true);
+                                         std::unique_lock lock(gate_mu);
+                                         gate_cv.wait(lock, [&] { return !gate_closed.load(); });
+                                       });
+  auto other = monitor.make_consumer("other", ConsumerOptions{},
+                                     [&](const StdEvent&) { count.fetch_add(1); });
+  GateGuard guard{gate_closed, gate_cv};
+  ASSERT_TRUE(monitor.start().is_ok());
+  ASSERT_TRUE(blocked->start().is_ok());
+  ASSERT_TRUE(other->start().is_ok());
+  constexpr int kFiles = 64;
+  for (int i = 0; i < kFiles; ++i)
+    ASSERT_TRUE(fs.create("/f" + std::to_string(i)).is_ok());
+  ASSERT_TRUE(wait_until([&] { return blocked_entered.load() && count.load() >= kFiles; }));
+
+  const auto before = std::chrono::steady_clock::now();
+  other->stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - before, std::chrono::seconds(1));
+
+  gate_closed.store(false);
+  gate_cv.notify_all();
+  blocked->stop();
+  monitor.stop();
+  EXPECT_EQ(count.load(), kFiles);
+}
+
+TEST_F(FlowControlTest, CrashRestartMidStreamIsExactlyOnce) {
+  // Crash a hub consumer mid-stream: hub items keep queueing for it
+  // while it is down. restart() replays the outage from the acked cursor
+  // and the queued items then skip what the replay delivered, so every
+  // record arrives exactly once.
+  LustreFs fs(LustreFsOptions{}, clock);
+  ScalableMonitor monitor(fs, options(), clock);
+  std::mutex mu;
+  std::map<std::pair<std::uint64_t, core::EventKind>, int> seen;
+  std::atomic<int> total{0};
+  ConsumerOptions consumer_options;
+  consumer_options.ack_interval = 1;
+  auto consumer = monitor.make_consumer("c", consumer_options, [&](const StdEvent& e) {
+    std::lock_guard lock(mu);
+    ++seen[{e.cookie, e.kind}];
+    total.fetch_add(1);
+  });
+  ASSERT_TRUE(monitor.start().is_ok());
+  ASSERT_TRUE(consumer->start().is_ok());
+
+  constexpr int kPerPhase = 200;
+  int created = 0;
+  auto create_phase = [&] {
+    for (int i = 0; i < kPerPhase; ++i, ++created)
+      ASSERT_TRUE(fs.create("/f" + std::to_string(created)).is_ok());
+  };
+  create_phase();
+  ASSERT_TRUE(wait_until([&] { return total.load() >= kPerPhase / 2; }));
+  consumer->crash();
+  create_phase();
+  ASSERT_TRUE(wait_until([&] {
+    return monitor.sharded().persisted() >= static_cast<std::uint64_t>(2 * kPerPhase);
+  }));
+  ASSERT_TRUE(consumer->restart().is_ok());
+  create_phase();
+  ASSERT_TRUE(wait_until([&] { return total.load() >= 3 * kPerPhase; }));
+  consumer->stop();
+  monitor.stop();
+
+  std::lock_guard lock(mu);
+  EXPECT_EQ(total.load(), 3 * kPerPhase);
+  EXPECT_EQ(seen.size(), static_cast<std::size_t>(3 * kPerPhase));
+  for (const auto& [key, n] : seen) EXPECT_EQ(n, 1) << "cookie " << key.first;
+}
+
+TEST_F(FlowControlTest, CatchAllConsumersShareTheDecodedFrame) {
+  // A hub item that matched its whole frame reaches the callback as the
+  // hub's shared decoded batch itself: two catch-all consumers see the
+  // same EventBatch object for every frame, no per-subscriber copy.
+  LustreFs fs(LustreFsOptions{}, clock);
+  ScalableMonitor monitor(fs, options(/*with_store=*/false), clock);
+  using FrameKey = std::pair<const core::EventBatch*, common::EventId>;
+  std::mutex mu;
+  std::set<FrameKey> frames_a;
+  std::set<FrameKey> frames_b;
+  std::atomic<int> count_a{0};
+  std::atomic<int> count_b{0};
+  auto recorder = [&](std::set<FrameKey>& frames, std::atomic<int>& count) {
+    return [&mu, frames = &frames, count = &count](const core::EventBatch& batch) {
+      std::lock_guard lock(mu);
+      frames->insert({&batch, batch.events.front().id});
+      count->fetch_add(static_cast<int>(batch.size()));
+    };
+  };
+  auto a = monitor.make_consumer("a", ConsumerOptions{}, recorder(frames_a, count_a));
+  auto b = monitor.make_consumer("b", ConsumerOptions{}, recorder(frames_b, count_b));
+  ASSERT_TRUE(monitor.start().is_ok());
+  ASSERT_TRUE(a->start().is_ok());
+  ASSERT_TRUE(b->start().is_ok());
+  constexpr int kFiles = 256;
+  for (int i = 0; i < kFiles; ++i)
+    ASSERT_TRUE(fs.create("/f" + std::to_string(i)).is_ok());
+  ASSERT_TRUE(wait_until([&] { return count_a.load() >= kFiles && count_b.load() >= kFiles; }));
+  a->stop();
+  b->stop();
+  monitor.stop();
+  std::lock_guard lock(mu);
+  EXPECT_FALSE(frames_a.empty());
+  EXPECT_EQ(frames_a, frames_b);
+}
+
+TEST_F(FlowControlTest, FilteredSubscriberDedupWindowStaysBounded) {
+  // A filtered hub consumer marks every cookie of each frame it is
+  // handed, matched or not, so its dedup watermark keeps up with the
+  // stream instead of holding one out-of-order entry per delivery.
+  LustreFs fs(LustreFsOptions{}, clock);
+  fs.mkdir("/keep");
+  fs.mkdir("/drop");
+  ScalableMonitor monitor(fs, options(/*with_store=*/false), clock);
+  std::atomic<int> keep_count{0};
+  std::atomic<int> all_count{0};
+  ConsumerOptions keep_options;
+  core::FilterRule keep_rule;
+  keep_rule.root = "/keep";
+  keep_options.rules.push_back(keep_rule);
+  auto keep = monitor.make_consumer("keep", keep_options,
+                                    [&](const StdEvent&) { keep_count.fetch_add(1); });
+  auto all = monitor.make_consumer("all", ConsumerOptions{},
+                                   [&](const StdEvent&) { all_count.fetch_add(1); });
+  ASSERT_TRUE(monitor.start().is_ok());
+  ASSERT_TRUE(keep->start().is_ok());
+  ASSERT_TRUE(all->start().is_ok());
+
+  constexpr int kFiles = 10000;  // per directory: 20k creates in all
+  for (int i = 0; i < kFiles; ++i) {
+    ASSERT_TRUE(fs.create("/keep/f" + std::to_string(i)).is_ok());
+    ASSERT_TRUE(fs.create("/drop/f" + std::to_string(i)).is_ok());
+  }
+  ASSERT_TRUE(wait_until([&] {
+    return keep_count.load() >= kFiles && all_count.load() >= 2 * kFiles;
+  }));
+  EXPECT_LT(keep->dedup_pending(), 16u);
+  EXPECT_EQ(all->dedup_pending(), 0u);
+  keep->stop();
+  all->stop();
+  monitor.stop();
+  EXPECT_EQ(keep_count.load(), kFiles);
+}
+
+TEST_F(FlowControlTest, RenameIntoFilteredSubtreeDeliversMovedTo) {
+  // A rename from outside a consumer's subtree into it matches only its
+  // MOVED_TO half, which shares the MOVED_FROM's cookie. Duplicates are
+  // decided before the frame's cookies are marked, so the MOVED_TO is
+  // fresh and delivered.
+  LustreFs fs(LustreFsOptions{}, clock);
+  fs.mkdir("/keep");
+  fs.mkdir("/drop");
+  ScalableMonitor monitor(fs, options(/*with_store=*/false), clock);
+  std::mutex mu;
+  std::vector<StdEvent> kept;
+  ConsumerOptions keep_options;
+  core::FilterRule keep_rule;
+  keep_rule.root = "/keep";
+  keep_options.rules.push_back(keep_rule);
+  auto keep = monitor.make_consumer("keep", keep_options, [&](const StdEvent& event) {
+    std::lock_guard lock(mu);
+    kept.push_back(event);
+  });
+  ASSERT_TRUE(monitor.start().is_ok());
+  ASSERT_TRUE(keep->start().is_ok());
+
+  constexpr int kFiles = 50;
+  for (int i = 0; i < kFiles; ++i) {
+    const std::string name = "/f" + std::to_string(i);
+    ASSERT_TRUE(fs.create("/drop" + name).is_ok());
+    ASSERT_TRUE(fs.rename("/drop" + name, "/keep" + name).is_ok());
+  }
+  ASSERT_TRUE(wait_until([&] {
+    std::lock_guard lock(mu);
+    return kept.size() >= static_cast<std::size_t>(kFiles);
+  }));
+  keep->stop();
+  monitor.stop();
+  std::lock_guard lock(mu);
+  ASSERT_EQ(kept.size(), static_cast<std::size_t>(kFiles));
+  for (int i = 0; i < kFiles; ++i) {
+    EXPECT_EQ(kept[static_cast<std::size_t>(i)].kind, core::EventKind::kMovedTo);
+    EXPECT_EQ(kept[static_cast<std::size_t>(i)].path, "/keep/f" + std::to_string(i));
+  }
+}
+
+
+TEST_F(FlowControlTest, StopDuringCatchUpCatchesUpAgainOnStart) {
+  // stop() in the middle of a demoted consumer's store catch-up ends the
+  // catch-up before promotion. start() must resume it: the consumer is
+  // promoted again and every event arrives exactly once.
+  LustreFs fs(LustreFsOptions{}, clock);
+  ScalableMonitorOptions o = options();
+  o.flow.credit_window = 256;
+  ScalableMonitor monitor(fs, o, clock);
+  std::atomic<bool> gate_closed{true};
+  std::mutex gate_mu;
+  std::condition_variable gate_cv;
+  std::mutex seen_mu;
+  std::vector<common::EventId> ids;
+  ConsumerOptions copt;
+  copt.ack_interval = 16;
+  copt.replay_page = 1;  // a slow catch-up, so stop() lands inside it
+  auto stalled = monitor.make_consumer("stalled", copt, [&](const StdEvent& event) {
+    {
+      std::unique_lock lock(gate_mu);
+      gate_cv.wait(lock, [&] { return !gate_closed.load(); });
+    }
+    std::lock_guard lock(seen_mu);
+    ids.push_back(event.id);
+  });
+  auto delivered = [&] {
+    std::lock_guard lock(seen_mu);
+    return ids.size();
+  };
+  GateGuard guard{gate_closed, gate_cv};
+  ASSERT_TRUE(monitor.start().is_ok());
+  ASSERT_TRUE(stalled->start().is_ok());
+  constexpr int kFirst = 5000;
+  constexpr int kSecond = 2000;
+  for (int i = 0; i < kFirst; ++i) ASSERT_TRUE(fs.create("/f" + std::to_string(i)).is_ok());
+  ASSERT_TRUE(wait_until([&] { return stalled->flow_state() == FlowState::kDemoted; }));
+  gate_closed.store(false);
+  gate_cv.notify_all();
+  // The 256-credit window plus at most one frame drains live; past that
+  // the consumer is paging the store one event at a time.
+  ASSERT_TRUE(wait_until([&] { return delivered() > 1000; }));
+  stalled->stop();
+  ASSERT_EQ(stalled->flow_state(), FlowState::kDemoted);
+  ASSERT_TRUE(stalled->start().is_ok());
+  for (int i = 0; i < kSecond; ++i) ASSERT_TRUE(fs.create("/g" + std::to_string(i)).is_ok());
+  ASSERT_TRUE(wait_until([&] { return delivered() >= kFirst + kSecond; }))
+      << "delivered=" << delivered() << " state=" << to_string(stalled->flow_state());
+  EXPECT_TRUE(wait_until([&] { return stalled->flow_state() == FlowState::kLive; }));
+  stalled->stop();
+  monitor.stop();
+  std::lock_guard lock(seen_mu);
+  ASSERT_EQ(ids.size(), static_cast<std::size_t>(kFirst + kSecond));
+  std::set<common::EventId> unique(ids.begin(), ids.end());
+  EXPECT_EQ(unique.size(), ids.size()) << "duplicate delivery";
+  EXPECT_EQ(*unique.rbegin(), static_cast<common::EventId>(kFirst + kSecond));
 }
 
 }  // namespace
