@@ -127,67 +127,44 @@ void Consumer::deliver_batch(const core::EventBatch& batch, bool dedup_filter,
   if (batch.empty()) return;
   std::lock_guard lock(deliver_mu_);
   DeliveryOwner owner(deliver_owner_);
-  deliver_locked(batch, dedup_filter, already_filtered, nullptr);
+  deliver_locked(batch, dedup_filter, already_filtered);
 }
 
-void Consumer::collect_runs_locked(const std::vector<core::StdEvent>& events) {
+void Consumer::deliver_locked(const core::EventBatch& batch, bool dedup_filter,
+                              bool already_filtered) {
   // A live frame carries one shard's events; a merged replay page may
   // mix shards. Either way the owning shard is recomputed from the
   // event source through the shared map — the same rule the router
   // applied on the write path. The batch is walked in runs of
   // same-source events (a live frame is one run), so the shard and the
   // dedup window are looked up once per run, not per event.
+  //
+  // Duplicate decisions are made for the whole batch before any marking:
+  // a rename's MOVED_FROM/MOVED_TO halves share one cookie and always
+  // travel in one frame, so both are fresh or both are duplicates.
+  const std::vector<core::StdEvent>& events = batch.events;
   const std::size_t shard_count = aggregator_.shard_count();
   dedup_runs_.clear();
+  duplicate_at_.clear();
   for (std::size_t begin = 0, end = 0; begin < events.size(); begin = end) {
     const std::string& source = events[begin].source;
     for (end = begin + 1; end < events.size() && events[end].source == source; ++end) {
     }
     const std::size_t shard = shard_count == 1 ? 0 : aggregator_.map().shard_of(source);
-    SourceDedupWindow* window = source.empty() ? nullptr : &dedup_[source];
-    dedup_runs_.push_back({window, shard, begin, end});
-  }
-}
-
-void Consumer::deliver_locked(const core::EventBatch& batch, bool dedup_filter,
-                              bool already_filtered, const core::EventBatch* hub_frame) {
-  // Duplicate decisions are made on the delivered events before any
-  // marking: a rename's MOVED_FROM/MOVED_TO halves share one cookie and
-  // always travel in one frame, so both are fresh or both are
-  // duplicates — and when only the MOVED_TO matched a hub consumer's
-  // rules, marking the frame's MOVED_FROM first would drop it.
-  const std::vector<core::StdEvent>& events = batch.events;
-  duplicate_at_.clear();
-  collect_runs_locked(events);
-  if (dedup_filter) {
-    for (const DedupRun& run : dedup_runs_) {
-      if (run.window == nullptr) continue;
-      for (std::size_t i = run.begin; i < run.end; ++i) {
-        if (events[i].cookie != 0 && !run.window->fresh(events[i].cookie))
+    for (std::size_t i = begin; i < end; ++i) seen_.advance(shard, events[i].id);
+    if (source.empty()) continue;
+    SourceDedupWindow& window = dedup_[source];
+    if (dedup_filter) {
+      for (std::size_t i = begin; i < end; ++i) {
+        if (events[i].cookie != 0 && !window.fresh(events[i].cookie))
           duplicate_at_.push_back(i);
       }
     }
+    dedup_runs_.push_back({&window, begin, end});
   }
-  // Then mark. A hub frame settles each source through its last cookie,
-  // matched or not (see dedup_window.hpp): marking only the matched
-  // events would leave a filtered consumer's watermark behind its first
-  // unmatched record, and its window would keep one entry per delivery.
-  const std::vector<core::StdEvent>& marked =
-      hub_frame != nullptr ? hub_frame->events : events;
-  if (hub_frame != nullptr && hub_frame != &batch) collect_runs_locked(marked);
   for (const DedupRun& run : dedup_runs_) {
-    std::uint64_t last_cookie = 0;
     for (std::size_t i = run.begin; i < run.end; ++i) {
-      seen_.advance(run.shard, marked[i].id);
-      last_cookie = std::max(last_cookie, marked[i].cookie);
-    }
-    if (run.window == nullptr) continue;
-    if (hub_frame != nullptr) {
-      if (last_cookie != 0) run.window->mark_through(last_cookie);
-      continue;
-    }
-    for (std::size_t i = run.begin; i < run.end; ++i) {
-      if (marked[i].cookie != 0) run.window->mark(marked[i].cookie);
+      if (events[i].cookie != 0) run.window->mark(events[i].cookie);
     }
   }
   last_seen_sum_.store(seen_.sum());
@@ -410,17 +387,26 @@ void Consumer::deliver_hub_item(const HubItem& item) {
   // delivered by a catch-up replay — duplicates are structurally
   // impossible with this guard even if a frame races a promotion.
   const common::EventId floor = seen_.at(item.shard);
-  if (item.indices.size() == frame.size() && frame.events.front().id > floor) {
-    deliver_locked(frame, /*dedup_filter=*/true, /*already_filtered=*/true, &frame);
-    return;
-  }
+  const core::EventBatch* batch = &frame;
   core::EventBatch matched;
-  matched.events.reserve(item.indices.size());
-  for (std::uint32_t index : item.indices) {
-    const core::StdEvent& event = frame.events[index];
-    if (event.id > floor) matched.events.push_back(event);
+  if (item.indices.size() != frame.size() || frame.events.front().id <= floor) {
+    matched.events.reserve(item.indices.size());
+    for (std::uint32_t index : item.indices) {
+      const core::StdEvent& event = frame.events[index];
+      if (event.id > floor) matched.events.push_back(event);
+    }
+    batch = &matched;
   }
-  deliver_locked(matched, /*dedup_filter=*/true, /*already_filtered=*/true, &frame);
+  // Advance the watermark over the whole frame (matched or not) so acks
+  // keep progressing for consumers whose rules match sparsely.
+  seen_.advance(item.shard, frame.events.back().id);
+  deliver_locked(*batch, /*dedup_filter=*/true, /*already_filtered=*/true);
+  // A live frame is one source's records in sequence order, so once its
+  // matched events are decided and marked, every record up to its last
+  // one is settled (see dedup_window.hpp). Marking it before the
+  // decision would drop a MOVED_TO whose MOVED_FROM did not match.
+  const core::StdEvent& last = frame.events.back();
+  if (!last.source.empty() && last.cookie != 0) dedup_[last.source].mark_through(last.cookie);
 }
 
 Result<std::vector<core::StdEvent>> Consumer::next_replay_page(VectorCursor& cursor) const {

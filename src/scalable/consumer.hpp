@@ -168,9 +168,10 @@ class Consumer {
   FanOutHub::Turn on_hub_item(const HubItem& item);
   /// Deliver one hub batch item: the index already matched the events,
   /// so delivery skips local filtering, guards against ids at or below
-  /// the seen watermark (replay/live seam insurance), and marks and
-  /// advances over the whole frame, matched or not, so acks and the
-  /// dedup watermark keep progressing for consumers whose rules match
+  /// the seen watermark (replay/live seam insurance), and then settles
+  /// the frame's source through its last cookie and advances the seen
+  /// watermark to its last id, matched or not, so acks and the dedup
+  /// watermark keep progressing for consumers whose rules match
   /// sparsely. Hands the frame itself to the callback when every event
   /// matched and none was seen before.
   void deliver_hub_item(const HubItem& item);
@@ -200,15 +201,10 @@ class Consumer {
   /// and local rule evaluation (and its counters) is skipped.
   void deliver_batch(const core::EventBatch& batch, bool dedup_filter = true,
                      bool already_filtered = false);
-  /// deliver_batch's body; caller holds deliver_mu_. Duplicates are
-  /// decided on `batch` first. Then, for a hub item, the whole
-  /// `hub_frame` it was matched from is marked and the seen watermark
-  /// advanced over it; otherwise `batch` itself is.
+  /// deliver_batch's body; caller holds deliver_mu_ (and may pass an
+  /// empty batch).
   void deliver_locked(const core::EventBatch& batch, bool dedup_filter,
-                      bool already_filtered, const core::EventBatch* hub_frame);
-  /// Fill dedup_runs_ with the same-source runs of `events`; caller
-  /// holds deliver_mu_.
-  void collect_runs_locked(const std::vector<core::StdEvent>& events);
+                      bool already_filtered);
   /// Ack-interval check; caller holds deliver_mu_. Routes the cursor to
   /// the hub (min-ack + credit replenish) or straight to the aggregator.
   void maybe_ack_locked();
@@ -232,8 +228,7 @@ class Consumer {
   /// deliver_batch scratch, reused across batches so the steady state
   /// allocates nothing per batch. Guarded by deliver_mu_.
   struct DedupRun {
-    SourceDedupWindow* window;  ///< Null for events without a source.
-    std::size_t shard;
+    SourceDedupWindow* window;
     std::size_t begin;
     std::size_t end;
   };

@@ -205,6 +205,7 @@ void FanOutHub::detach(Subscription& sub) {
   // it sees it detached and sets it idle.
   if (sub.delivery_ == Subscription::Delivery::kParked)
     sub.delivery_ = Subscription::Delivery::kIdle;
+  sub.resume_pending_ = false;
   sub.handler_ = nullptr;
 }
 
@@ -212,6 +213,12 @@ void FanOutHub::resume(Subscription& sub) {
   SubscriptionList ready;
   {
     std::lock_guard lock(sub.queue_mu_);
+    if (sub.delivery_ == Subscription::Delivery::kRunning) {
+      // The handler that parks the subscription has not returned yet
+      // (its catch-up finished first): run_turn sees this and goes on.
+      sub.resume_pending_ = true;
+      return;
+    }
     if (sub.delivery_ != Subscription::Delivery::kParked) return;
     if (sub.attached_ && !sub.queue_.empty()) {
       sub.delivery_ = Subscription::Delivery::kQueued;
@@ -420,9 +427,12 @@ bool FanOutHub::run_turn(Subscription& sub) {
     }
     if (sub.handler_(item) == Turn::kPark) {
       std::lock_guard lock(sub.queue_mu_);
-      sub.delivery_ = Delivery::kParked;
-      sub.turn_done_.notify_all();
-      return false;
+      if (!sub.resume_pending_) {
+        sub.delivery_ = Delivery::kParked;
+        sub.turn_done_.notify_all();
+        return false;
+      }
+      sub.resume_pending_ = false;  // resumed before it was parked
     }
   }
   std::lock_guard lock(sub.queue_mu_);

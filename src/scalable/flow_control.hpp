@@ -147,6 +147,8 @@ class FanOutHub {
     Handler handler_;         ///< Written only while no turn can run.
     bool attached_ = false;
     bool catch_up_queued_ = false;  ///< A kDemoted marker is in queue_.
+    /// resume() arrived while the turn that parks was still running.
+    bool resume_pending_ = false;
     Delivery delivery_ = Delivery::kIdle;
   };
 
@@ -179,7 +181,9 @@ class FanOutHub {
   /// subscription. Queued items stay for the next attach().
   void detach(Subscription& sub);
   /// Release a subscription its handler parked: delivery continues with
-  /// the next queued item. No-op unless parked.
+  /// the next queued item. May be called from the moment the handler
+  /// decides to park, before it returns kPark; then the worker does not
+  /// park the subscription at all. No-op when idle or queued.
   void resume(Subscription& sub);
 
   /// Consumer progress report: `cursor` is the consumer's per-shard seen

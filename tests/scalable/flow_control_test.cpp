@@ -747,5 +747,70 @@ TEST_F(FlowControlTest, StopDuringCatchUpCatchesUpAgainOnStart) {
   EXPECT_EQ(*unique.rbegin(), static_cast<common::EventId>(kFirst + kSecond));
 }
 
+TEST_F(FlowControlTest, ResumeBeforeParkKeepsDelivering) {
+  // A handler that parks its subscription starts a catch-up that can
+  // finish, and call resume(), before the handler has returned kPark
+  // (the backlog was already within promotion range). Here the catch-up
+  // always wins that race: it promotes and resumes on a thread the
+  // handler joins before returning. The worker must not park the
+  // subscription then, or the hub would never deliver to it again.
+  LustreFs fs(LustreFsOptions{}, clock);
+  ScalableMonitorOptions o = options(/*with_store=*/false);
+  o.flow.credit_window = 1024;
+  ScalableMonitor monitor(fs, o, clock);
+  FanOutHub& hub = *monitor.hub();
+  auto sub = hub.subscribe("raw", {});
+  std::atomic<int> promotions{0};
+  std::atomic<bool> acking{false};
+  std::atomic<std::size_t> live_after_promotion{0};
+  hub.attach(*sub, [&](const HubItem& item) {
+    if (item.kind == HubItem::Kind::kDemoted) {
+      std::thread([&] {
+        // A frame pumped between the two reads can leave the cursor
+        // out of promotion range; try again.
+        while (!hub.try_promote(*sub, hub.head_cursor())) std::this_thread::yield();
+        promotions.fetch_add(1);
+        acking.store(true);
+        hub.resume(*sub);
+      }).join();
+      return FanOutHub::Turn::kPark;
+    }
+    if (item.kind == HubItem::Kind::kBatch && acking.load()) {
+      // From the first promotion on, ack everything: the window outlasts
+      // the 500 events at the end, so the subscription stays live.
+      VectorCursor cursor(monitor.sharded().shard_count());
+      cursor.advance(item.shard, item.batch->events.back().id);
+      hub.acknowledge(*sub, cursor, item.indices.size());
+      live_after_promotion.fetch_add(item.indices.size());
+    }
+    return FanOutHub::Turn::kContinue;
+  });
+  ASSERT_TRUE(monitor.start().is_ok());
+  // Without acks the window runs out; the next frame demotes.
+  std::uint64_t created = 0;
+  for (; created < 20000 && promotions.load() == 0; ++created)
+    ASSERT_TRUE(fs.create("/f" + std::to_string(created)).is_ok());
+  ASSERT_TRUE(wait_until([&] { return promotions.load() >= 1; }))
+      << "created " << created << ", pumped " << hub.head_cursor().sum() << ", state "
+      << to_string(hub.state(*sub));
+  // Let the events created before the promotion drain (they may demote
+  // it again, and it is promoted again the same way) until it is live
+  // with a full window.
+  ASSERT_TRUE(wait_until([&] {
+    return hub.head_cursor().sum() >= created && hub.state(*sub) == FlowState::kLive &&
+           hub.credits(*sub) == static_cast<std::int64_t>(o.flow.credit_window);
+  })) << "state " << to_string(hub.state(*sub)) << ", credits " << hub.credits(*sub);
+  const std::size_t before = live_after_promotion.load();
+  constexpr std::size_t kAfter = 500;
+  for (std::size_t i = 0; i < kAfter; ++i)
+    ASSERT_TRUE(fs.create("/g" + std::to_string(i)).is_ok());
+  EXPECT_TRUE(wait_until([&] { return live_after_promotion.load() - before >= kAfter; }))
+      << "delivered after promotion: " << live_after_promotion.load() - before;
+  EXPECT_EQ(hub.state(*sub), FlowState::kLive);
+  hub.detach(*sub);
+  hub.unsubscribe(*sub);
+  monitor.stop();
+}
+
 }  // namespace
 }  // namespace fsmon::scalable

@@ -366,6 +366,30 @@ TEST_F(AckDurabilityTest, AckReleasedOnlyAfterTheGroupIsFlushed) {
   EXPECT_GE(on_disk_at_ack[0], record_bytes);
 }
 
+// Live fan-out runs ahead of the WAL append, so a consumer's ack can
+// name ids the store does not hold yet, and the store clamps it to its
+// last id. Once those ids are persisted, purge() applies the rest of the
+// ack: nothing acks again after the end of a stream, so a lost remainder
+// would hold retention until the next ack.
+TEST_F(AckDurabilityTest, AckAheadOfPersistenceIsAppliedByPurge) {
+  common::RealClock clock;
+  msgq::Bus bus;
+  ShardedAggregatorOptions options;
+  eventstore::EventStoreOptions store;
+  store.directory = dir_;
+  options.aggregator.store = store;
+  ShardedAggregator sharded(bus, "aggregator", options, clock);
+
+  ASSERT_EQ(sharded.router().route("t", make_frame("lustre:MDT0", 1, 3)).accepted, 1u);
+  ASSERT_EQ(sharded.shard(0).drain_once(), 1u);  // ids 1-3 persisted
+  VectorCursor ack(1);
+  ack.advance(0, 6);
+  sharded.acknowledge(ack);  // ids 4-6 fanned out, not yet persisted
+  ASSERT_EQ(sharded.router().route("t", make_frame("lustre:MDT0", 4, 3)).accepted, 1u);
+  ASSERT_EQ(sharded.shard(0).drain_once(), 1u);  // ids 4-6 persisted
+  EXPECT_EQ(sharded.purge(), 6u);
+}
+
 // Regression (sharding review): the merged replay pages all shard stores
 // BEFORE taking the consumer's delivery mutex. The inverted order would
 // deadlock when a replay page blocks behind a slow consumer callback
