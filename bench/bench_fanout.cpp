@@ -1,7 +1,7 @@
 // Fan-out scaling bench: shared subscription index vs per-consumer rule
 // evaluation, plus the slow-consumer isolation check.
 //
-// Part 1 — matcher sweep. The legacy topology evaluates every
+// Part 1 — matcher sweep. Filtering at each consumer evaluates every
 // subscriber's rule set against every event: O(subscribers x events)
 // regardless of how many events actually match. The SubscriptionIndex
 // walks the path trie once per event and yields subscriber-id bitsets,
@@ -14,12 +14,14 @@
 // 10 subscribers for any fraction.
 //
 // Part 2 — stalled-consumer isolation. A FanOutHub pipeline runs the
-// same workload twice: healthy consumers only, then with a deliberately
-// stalled sibling (its callback blocks until the run ends). Credit-based
-// flow control must demote the stalled consumer instead of letting its
-// kBlock back-pressure stall the shared pump. Fails if healthy
-// aggregate throughput with the stalled sibling drops below 0.9x the
-// baseline.
+// same workload in two arms: healthy consumers only, and with a
+// deliberately stalled sibling (its callback blocks until the run
+// ends). Credit-based flow control must demote the stalled consumer
+// instead of letting its back-pressure stall the shared pump. The arms
+// run in 5 interleaved pairs, alternating which goes first; fails if
+// the median pair's healthy aggregate throughput with the stalled
+// sibling drops below 0.9x its baseline. (A single pair spread about
+// 1.75x from run to run, so a one-shot ratio measured noise.)
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -104,7 +106,7 @@ SweepResult run_sweep(std::size_t subscribers, double match_fraction) {
       std::chrono::duration<double, std::nano>(index_done - index_start).count() /
       (static_cast<double>(kIndexIters) * kBatchEvents);
 
-  // Legacy path: every subscriber evaluates its rule set against every
+  // Per-consumer path: every subscriber evaluates its rule set against every
   // event. Iterations shrink with the subscriber count so the bench
   // stays bounded; per-event cost is what is reported.
   const int legacy_iters =
@@ -128,11 +130,7 @@ SweepResult run_sweep(std::size_t subscribers, double match_fraction) {
 
 // --- Part 2: stalled-consumer isolation over the real hub pipeline ----
 
-struct IsolationResult {
-  double baseline_eps = 0;   ///< Healthy events/sec, no stalled sibling.
-  double stalled_eps = 0;    ///< Healthy events/sec with a stalled sibling.
-  bool stalled_demoted = false;
-};
+constexpr int kIsolationPairs = 5;
 
 double run_pipeline(const std::filesystem::path& store_dir, bool with_stalled,
                     bool* demoted) {
@@ -140,7 +138,6 @@ double run_pipeline(const std::filesystem::path& store_dir, bool with_stalled,
   lustre::LustreFs fs(lustre::LustreFsOptions{}, clock);
   scalable::ScalableMonitorOptions options;
   options.collector.cache_size = 64;
-  options.fanout_hub = true;
   options.flow.credit_window = 256;
   eventstore::EventStoreOptions store;
   store.directory = store_dir;
@@ -249,15 +246,41 @@ int main() {
   bench::banner("fan-out: stalled-consumer isolation (hub pipeline)");
   const auto root = std::filesystem::temp_directory_path() / "fsmon_bench_fanout";
   std::filesystem::remove_all(root);
-  bool demoted = false;
-  const double baseline_eps = run_pipeline(root / "baseline", false, nullptr);
-  const double stalled_eps = run_pipeline(root / "stalled", true, &demoted);
+  std::vector<double> baselines;
+  std::vector<double> stalleds;
+  std::vector<double> pair_ratios;
+  int demoted_runs = 0;
+  bool all_delivered = true;
+  for (int pair = 0; pair < kIsolationPairs; ++pair) {
+    const std::string tag = std::to_string(pair);
+    bool demoted = false;
+    double baseline = 0;
+    double stalled = 0;
+    // Alternate which arm goes first, so drift during the run (cache
+    // warmth, a noisy neighbour) lands on both arms alike.
+    if (pair % 2 == 0) {
+      baseline = run_pipeline(root / ("baseline" + tag), false, nullptr);
+      stalled = run_pipeline(root / ("stalled" + tag), true, &demoted);
+    } else {
+      stalled = run_pipeline(root / ("stalled" + tag), true, &demoted);
+      baseline = run_pipeline(root / ("baseline" + tag), false, nullptr);
+    }
+    if (baseline <= 0 || stalled <= 0) all_delivered = false;
+    if (demoted) ++demoted_runs;
+    baselines.push_back(baseline);
+    stalleds.push_back(stalled);
+    pair_ratios.push_back(stalled / std::max(baseline, 1e-9));
+    std::printf("pair %d: baseline %.0f ev/s, with stalled sibling %.0f ev/s (%.2fx)\n",
+                pair, baseline, stalled, pair_ratios.back());
+  }
   std::filesystem::remove_all(root);
-  const double isolation = stalled_eps / std::max(baseline_eps, 1e-9);
+  const double baseline_eps = bench::median(baselines);
+  const double stalled_eps = bench::median(stalleds);
+  const double isolation = bench::median(pair_ratios);
   std::printf(
-      "healthy throughput: baseline %.0f ev/s, with stalled sibling %.0f ev/s "
-      "(%.2fx, stalled demoted: %s)\n",
-      baseline_eps, stalled_eps, isolation, demoted ? "yes" : "no");
+      "healthy throughput, median of %d pairs: baseline %.0f ev/s, with stalled "
+      "sibling %.0f ev/s, pair ratio %.2fx (stalled demoted in %d/%d runs)\n",
+      kIsolationPairs, baseline_eps, stalled_eps, isolation, demoted_runs, kIsolationPairs);
 
   if (std::FILE* out = std::fopen("BENCH_fanout.json", "w")) {
     std::fprintf(out, "{\n  \"sweep\": [\n");
@@ -278,10 +301,10 @@ int main() {
       std::fprintf(out, "%s%.2f", i ? ", " : "", ratios[i]);
     std::fprintf(out, "],\n");
     std::fprintf(out,
-                 "  \"stalled_isolation\": {\"baseline_events_per_sec\": %.0f, "
-                 "\"stalled_events_per_sec\": %.0f, \"ratio\": %.2f, "
-                 "\"stalled_demoted\": %s}\n}\n",
-                 baseline_eps, stalled_eps, isolation, demoted ? "true" : "false");
+                 "  \"stalled_isolation\": {\"pairs\": %d, "
+                 "\"baseline_events_per_sec\": %.0f, \"stalled_events_per_sec\": %.0f, "
+                 "\"ratio\": %.2f, \"stalled_demoted_runs\": %d}\n}\n",
+                 kIsolationPairs, baseline_eps, stalled_eps, isolation, demoted_runs);
     std::fclose(out);
     std::printf("results: BENCH_fanout.json\n");
   }
@@ -291,13 +314,13 @@ int main() {
                 "10-subscriber cost\n");
     return 1;
   }
-  if (baseline_eps <= 0 || stalled_eps <= 0) {
+  if (!all_delivered) {
     std::printf("FAIL: a pipeline run did not deliver every event in time\n");
     return 1;
   }
   if (isolation < 0.9) {
-    std::printf("FAIL: stalled sibling cut healthy throughput to %.2fx "
-                "(floor 0.9x)\n", isolation);
+    std::printf("FAIL: stalled sibling cut healthy throughput to %.2fx in the "
+                "median pair (floor 0.9x)\n", isolation);
     return 1;
   }
   std::printf("fan-out scaling and stalled-consumer isolation criteria met\n");

@@ -2,6 +2,7 @@
 // table printing and paper-vs-measured comparison rows.
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -66,6 +67,16 @@ inline std::string vs_paper(double measured, double paper, int decimals = 0) {
   std::snprintf(buf, sizeof(buf), "%.*f (paper %.*f, %+.1f%%)", decimals, measured,
                 decimals, paper, dev);
   return buf;
+}
+
+/// Median of `values`: the middle one, or the mean of the two middle
+/// ones for an even count; 0 when empty. Gates on a median of repeated
+/// runs instead of one run, whose spread is run-to-run noise.
+inline double median(std::vector<double> values) {
+  if (values.empty()) return 0;
+  std::sort(values.begin(), values.end());
+  const std::size_t mid = values.size() / 2;
+  return values.size() % 2 == 1 ? values[mid] : (values[mid - 1] + values[mid]) / 2;
 }
 
 inline void banner(const std::string& title) {

@@ -148,7 +148,7 @@ int run_query() {
 
   nsindex::IndexConsumerOptions index_options;
   index_options.snapshot_dir = root / "snaps";
-  nsindex::IndexConsumer consumer(monitor.bus(), monitor.sharded(), "quickstart",
+  nsindex::IndexConsumer consumer(monitor.hub(), monitor.sharded(), "quickstart",
                                   std::move(index_options));
   if (auto s = consumer.start(); !s.is_ok()) {
     std::fprintf(stderr, "failed to start index consumer: %s\n",

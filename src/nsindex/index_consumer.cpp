@@ -31,9 +31,9 @@ Result<std::size_t> fold_namespace(scalable::ShardedAggregator& aggregator,
   return folded;
 }
 
-IndexConsumer::IndexConsumer(msgq::Bus& bus, scalable::ShardedAggregator& aggregator,
+IndexConsumer::IndexConsumer(scalable::FanOutHub& hub, scalable::ShardedAggregator& aggregator,
                              std::string name, IndexConsumerOptions options)
-    : bus_(bus),
+    : hub_(hub),
       aggregator_(aggregator),
       name_(std::move(name)),
       options_(std::move(options)),
@@ -74,15 +74,15 @@ Status IndexConsumer::start() {
   copts.ack_interval = options_.ack_interval;
   copts.replay_page = options_.replay_page;
   copts.metrics = options_.metrics;
-  copts.hub = options_.hub;
+  copts.hub = &hub_;
   consumer_ = std::make_unique<scalable::Consumer>(
-      bus_, aggregator_, name_, std::move(copts),
+      aggregator_, name_, std::move(copts),
       scalable::Consumer::BatchCallback(
           [this](const core::EventBatch& batch) { on_batch(batch); }));
   consumer_->acknowledge_processed(snapshot_cursor);
 
   // 3. O(delta) catch-up: replay only events above the snapshot cursor.
-  //    Runs before the worker starts (same ordering as Consumer::restart:
+  //    Runs before delivery starts (same ordering as Consumer::restart:
   //    replay first so the dedup window seeds from the oldest unacked
   //    record). nsidx.replayed_events counts exactly this delta.
   replayed_events_.store(0);

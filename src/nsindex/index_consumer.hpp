@@ -1,7 +1,7 @@
 // IndexConsumer: the indexing consumer — glue between the consumption
 // tier and the NamespaceIndex applier.
 //
-// It owns a manual-ack Consumer (legacy or hub topology), folds every
+// It owns a manual-ack Consumer riding the fan-out hub, folds every
 // delivered batch into the index in per-shard id order, checkpoints the
 // index every `snapshot_every` applied events, and only then lets the
 // consumer acknowledge — so the stores never purge events the index has
@@ -51,8 +51,6 @@ struct IndexConsumerOptions {
   NamespaceIndexOptions index;
   /// Registry for nsidx.* and the consumer's consumer.* instruments.
   obs::MetricsRegistry* metrics = nullptr;
-  /// Ride the fan-out hub instead of a private receiver (may be null).
-  scalable::FanOutHub* hub = nullptr;
   /// Underlying consumer cadence/paging.
   std::size_t ack_interval = 1024;
   std::size_t replay_page = 4096;
@@ -70,7 +68,8 @@ common::Result<std::size_t> fold_namespace(scalable::ShardedAggregator& aggregat
 
 class IndexConsumer {
  public:
-  IndexConsumer(msgq::Bus& bus, scalable::ShardedAggregator& aggregator,
+  /// `hub` must sit on `aggregator`'s output (ScalableMonitor::hub()).
+  IndexConsumer(scalable::FanOutHub& hub, scalable::ShardedAggregator& aggregator,
                 std::string name, IndexConsumerOptions options);
   ~IndexConsumer();
 
@@ -108,7 +107,7 @@ class IndexConsumer {
   void apply_or_stash(std::size_t shard, const core::StdEvent& event);
   void repair_loop(std::stop_token stop);
 
-  msgq::Bus& bus_;
+  scalable::FanOutHub& hub_;
   scalable::ShardedAggregator& aggregator_;
   std::string name_;
   IndexConsumerOptions options_;

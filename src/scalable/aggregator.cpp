@@ -73,8 +73,7 @@ Aggregator::Aggregator(msgq::Bus& bus, std::string name, AggregatorOptions optio
                                           "events/s");
     fanout_receivers_gauge_ = &registry.gauge(
         "aggregator.fanout_receivers", labels,
-        "Receivers connected to this shard's output (1 in hub mode, one "
-        "per consumer in the legacy per-consumer topology)",
+        "Receivers connected to this shard's output (the fan-out hub's)",
         "receivers");
     fanout_lag_hist_ = &registry.histogram(
         "aggregator.fanout_lag_us", labels,

@@ -154,7 +154,7 @@ class Aggregator {
   transport::Transport& transport() { return *transport_; }
   /// Fan-in receiver — the shard router's senders connect here.
   const std::shared_ptr<transport::Receiver>& input() const { return input_; }
-  /// Connect a downstream receiver (consumer, fan-out hub) to the output.
+  /// Connect a downstream receiver (the fan-out hub) to the output.
   void connect_output(const std::shared_ptr<transport::Receiver>& receiver) {
     output_->connect(receiver);
     if (fanout_receivers_gauge_ != nullptr)
@@ -167,8 +167,8 @@ class Aggregator {
   common::Result<std::vector<core::StdEvent>> events_since(
       common::EventId after_id, std::size_t max_events = SIZE_MAX) const;
 
-  /// Consumers acknowledge delivery; acknowledged events are removed at
-  /// the next purge cycle.
+  /// The fan-out hub forwards the consumers' lowest acknowledged id;
+  /// acknowledged events are removed at the next purge cycle.
   void acknowledge(common::EventId up_to_id);
   std::size_t purge();
 

@@ -30,43 +30,30 @@ class DeliveryOwner {
 
 }  // namespace
 
-Consumer::Consumer(msgq::Bus& bus, ShardedAggregator& aggregator, std::string name,
-                   ConsumerOptions options, EventCallback callback)
-    : Consumer(bus, aggregator, std::move(name), std::move(options), std::move(callback),
+Consumer::Consumer(ShardedAggregator& aggregator, std::string name, ConsumerOptions options,
+                   EventCallback callback)
+    : Consumer(aggregator, std::move(name), std::move(options), std::move(callback),
                BatchCallback{}) {}
 
-Consumer::Consumer(msgq::Bus& bus, ShardedAggregator& aggregator, std::string name,
-                   ConsumerOptions options, BatchCallback callback)
-    : Consumer(bus, aggregator, std::move(name), std::move(options), EventCallback{},
+Consumer::Consumer(ShardedAggregator& aggregator, std::string name, ConsumerOptions options,
+                   BatchCallback callback)
+    : Consumer(aggregator, std::move(name), std::move(options), EventCallback{},
                std::move(callback)) {}
 
-Consumer::Consumer(msgq::Bus& bus, ShardedAggregator& aggregator, std::string name,
-                   ConsumerOptions options, EventCallback callback,
-                   BatchCallback batch_callback)
-    : bus_(bus),
-      aggregator_(aggregator),
+Consumer::Consumer(msgq::Bus&, ShardedAggregator& aggregator, std::string name,
+                   ConsumerOptions options, BatchCallback callback)
+    : Consumer(aggregator, std::move(name), std::move(options), std::move(callback)) {}
+
+Consumer::Consumer(ShardedAggregator& aggregator, std::string name, ConsumerOptions options,
+                   EventCallback callback, BatchCallback batch_callback)
+    : aggregator_(aggregator),
       name_(std::move(name)),
       options_(std::move(options)),
       callback_(std::move(callback)),
       batch_callback_(std::move(batch_callback)),
-      receiver_(options.hub != nullptr
-                    ? nullptr
-                    : aggregator.transport().make_receiver(
-                          name_, options.high_water_mark,
-                          options.overflow_policy == common::OverflowPolicy::kDropNewest
-                              ? transport::OverflowPolicy::kDropNewest
-                              : transport::OverflowPolicy::kBlock)),
       seen_(aggregator.shard_count()),
       acked_(aggregator.shard_count()),
       ack_floor_(aggregator.shard_count()) {
-  if (receiver_ != nullptr) {
-    receiver_->subscribe("");  // receive everything; filter locally
-    // One inbox fed by every shard: frames from different shards
-    // interleave at the queue, but each frame is whole, so per-shard order
-    // is preserved (each shard's sender pushes in its id order).
-    for (std::size_t k = 0; k < aggregator_.shard_count(); ++k)
-      aggregator_.shard(k).connect_output(receiver_);
-  }
   if (options_.metrics != nullptr) {
     auto& registry = *options_.metrics;
     const obs::Labels labels{{"consumer", name_}};
@@ -80,9 +67,6 @@ Consumer::Consumer(msgq::Bus& bus, ShardedAggregator& aggregator, std::string na
     delivery_lag_gauge_ = &registry.gauge(
         "consumer.delivery_lag_events", labels,
         "Sum of shard head ids minus events seen by this consumer", "events");
-    overflow_dropped_gauge_ = &registry.gauge(
-        "consumer.overflow_dropped", labels,
-        "Events lost to the high-water mark (kDropNewest only)", "events");
     batch_size_hist_ = &registry.histogram("consumer.batch_size", labels,
                                            "Events per batch received by this consumer",
                                            "events");
@@ -172,10 +156,6 @@ void Consumer::deliver_locked(const core::EventBatch& batch, bool dedup_filter,
     const auto head = aggregator_.last_event_id_sum();
     const auto seen = seen_.sum();
     delivery_lag_gauge_->set(head > seen ? static_cast<std::int64_t>(head - seen) : 0);
-    // Hub mode has no private receiver (receiver_ is null): overflow is
-    // the hub's credit window, not a transport high-water mark.
-    overflow_dropped_gauge_->set(
-        receiver_ != nullptr ? static_cast<std::int64_t>(receiver_->dropped()) : 0);
     if (!batch.empty()) batch_size_hist_->record(batch.size());
   }
   // The batch callback gets the batch itself when every event survives
@@ -225,6 +205,7 @@ void Consumer::deliver_locked(const core::EventBatch& batch, bool dedup_filter,
 }
 
 void Consumer::maybe_ack_locked() {
+  if (hub_sub_ == nullptr) return;  // replay-only
   if (options_.manual_acks) {
     // Durability stays with the application: acknowledge only up to the
     // published floor, clamped to what was actually seen and never
@@ -243,14 +224,9 @@ void Consumer::maybe_ack_locked() {
       floor.last_ids[k] = std::min(floor.at(k), seen_.at(k));
       floor.last_ids[k] = std::max(floor.at(k), acked_.at(k));
     }
-    if (hub_sub_ != nullptr) {
-      if (hub_processed_since_ack_ >= options_.ack_interval || dirty) {
-        options_.hub->acknowledge(*hub_sub_, floor, hub_processed_since_ack_);
-        hub_processed_since_ack_ = 0;
-        acked_ = floor;
-      }
-    } else if (dirty) {
-      aggregator_.acknowledge(floor);
+    if (hub_processed_since_ack_ >= options_.ack_interval || dirty) {
+      options_.hub->acknowledge(*hub_sub_, floor, hub_processed_since_ack_);
+      hub_processed_since_ack_ = 0;
       acked_ = floor;
     }
     return;
@@ -258,12 +234,8 @@ void Consumer::maybe_ack_locked() {
   if (options_.ack_interval == 0 ||
       seen_.sum() - acked_.sum() < options_.ack_interval)
     return;
-  if (hub_sub_ != nullptr) {
-    options_.hub->acknowledge(*hub_sub_, seen_, hub_processed_since_ack_);
-    hub_processed_since_ack_ = 0;
-  } else {
-    aggregator_.acknowledge(seen_);
-  }
+  options_.hub->acknowledge(*hub_sub_, seen_, hub_processed_since_ack_);
+  hub_processed_since_ack_ = 0;
   acked_ = seen_;
 }
 
@@ -293,47 +265,38 @@ void Consumer::acknowledge_processed(const VectorCursor& cursor) {
 
 Status Consumer::start() {
   if (running_.load()) return Status::ok();
+  if (hub_sub_ == nullptr)
+    return Status(common::ErrorCode::kInvalid, name_ + ": replay-only consumer (no hub)");
   running_.store(true);
-  if (hub_sub_ != nullptr) {
-    options_.hub->attach(*hub_sub_, [this](const HubItem& item) { return on_hub_item(item); });
-  } else {
-    worker_ = std::jthread([this] { run(); });
-  }
+  options_.hub->attach(*hub_sub_, [this](const HubItem& item) { return on_hub_item(item); });
   return Status::ok();
 }
 
 void Consumer::stop() {
   if (!running_.load()) return;
-  if (hub_sub_ != nullptr) {
-    // After detach() no turn runs, so catch_up_ is this thread's alone.
-    options_.hub->detach(*hub_sub_);
-    if (catch_up_.joinable()) {
-      catch_up_.request_stop();
-      catch_up_.join();
-    }
-  } else {
-    receiver_->close();
-    if (worker_.joinable()) worker_.join();
+  // After detach() no turn runs, so catch_up_ is this thread's alone.
+  options_.hub->detach(*hub_sub_);
+  if (catch_up_.joinable()) {
+    catch_up_.request_stop();
+    catch_up_.join();
   }
   running_.store(false);
 }
 
 void Consumer::crash() {
   // Fail-stop: identical teardown to stop() except semantically abrupt —
-  // frames queued in the private inbox die with the process; nothing
-  // further is acknowledged.
+  // nothing further is acknowledged.
   stop();
 }
 
 Status Consumer::restart() {
   if (running_.load()) return Status::ok();
-  if (receiver_ != nullptr) receiver_->reopen();
   VectorCursor resume;
   {
     std::lock_guard lock(deliver_mu_);
     resume = acked_;
   }
-  // Replay BEFORE the worker starts: if a live frame arrived first it
+  // Replay BEFORE delivery resumes: if a live frame arrived first it
   // would initialize the dedup watermark at a high index and the replayed
   // prefix would be misread as duplicates (lost events). Replaying first
   // seeds the window from the oldest unacked record.
@@ -341,21 +304,6 @@ Status Consumer::restart() {
     return replayed.status();
   }
   return start();
-}
-
-void Consumer::run() {
-  for (;;) {
-    auto message = receiver_->recv();
-    if (!message) break;
-    // Decode straight out of the shared frame bytes — over shm this reads
-    // the ring record in place; the FrameRef keeps it alive until here.
-    auto batch = core::decode_batch(message->payload.bytes());
-    if (!batch) {
-      FSMON_WARN("consumer", "corrupt batch frame: ", batch.status().to_string());
-      continue;
-    }
-    deliver_batch(batch.value());
-  }
 }
 
 FanOutHub::Turn Consumer::on_hub_item(const HubItem& item) {
@@ -383,18 +331,13 @@ void Consumer::deliver_hub_item(const HubItem& item) {
   std::lock_guard lock(deliver_mu_);
   DeliveryOwner owner(deliver_owner_);
   hub_processed_since_ack_ += item.indices.size();
-  // Seam insurance: anything at or below the seen watermark was already
-  // delivered by a catch-up replay — duplicates are structurally
-  // impossible with this guard even if a frame races a promotion.
-  const common::EventId floor = seen_.at(item.shard);
+  // No id floor (see the header): fan-out runs before persist, so a
+  // torn commit's re-published tail takes ids this consumer has passed.
   const core::EventBatch* batch = &frame;
   core::EventBatch matched;
-  if (item.indices.size() != frame.size() || frame.events.front().id <= floor) {
+  if (item.indices.size() != frame.size()) {
     matched.events.reserve(item.indices.size());
-    for (std::uint32_t index : item.indices) {
-      const core::StdEvent& event = frame.events[index];
-      if (event.id > floor) matched.events.push_back(event);
-    }
+    for (std::uint32_t index : item.indices) matched.events.push_back(frame.events[index]);
     batch = &matched;
   }
   // Advance the watermark over the whole frame (matched or not) so acks

@@ -1,15 +1,17 @@
 // Consumer service (paper Section IV "Consumption").
 //
-// Subscribes to every aggregator shard's output, filters locally ("this
-// filtering of events is not done at the aggregator in order to
-// alleviate potential overheads if a large number of consumers were to
-// ask to monitor different files and directories"), and delivers
-// matching events to the application callback. After a failure, a
-// consumer resumes by replaying historic events from the shards'
-// reliable stores starting at its last acknowledged vector cursor —
-// one watermark per shard, since each shard assigns its own dense id
-// sequence. Replay is the merged, timestamp-ordered view served by
-// ShardedAggregator::events_since.
+// Rides the aggregator tier's FanOutHub: the hub matches every frame
+// against this consumer's rules once, in its shared subscription index,
+// and its delivery workers hand the matching events to the application
+// callback. (The paper filters at each consumer "in order to alleviate
+// potential overheads if a large number of consumers were to ask to
+// monitor different files and directories"; the shared index keeps that
+// cost bounded by matched events instead, see DESIGN.md.) After a
+// failure, a consumer resumes by replaying historic events from the
+// shards' reliable stores starting at its last acknowledged vector
+// cursor — one watermark per shard, since each shard assigns its own
+// dense id sequence. Replay is the merged, timestamp-ordered view served
+// by ShardedAggregator::events_since.
 #pragma once
 
 #include <atomic>
@@ -31,12 +33,11 @@
 namespace fsmon::scalable {
 
 struct ConsumerOptions {
+  /// Ignored. A consumer that falls behind is demoted to store replay by
+  /// the hub's credit window (FlowControlOptions), never dropped at a
+  /// high-water mark. Kept so existing callers still compile.
   std::size_t high_water_mark = 1 << 16;
-  /// What happens when this consumer falls behind the aggregator: kBlock
-  /// (lossless back-pressure, the default) or kDropNewest (a slow
-  /// consumer loses events rather than stalling the publisher — it can
-  /// recover them later via replay_historic, the paper's fault-tolerance
-  /// path).
+  /// Ignored, like high_water_mark.
   common::OverflowPolicy overflow_policy = common::OverflowPolicy::kBlock;
   /// Paths/rules this consumer cares about; empty = everything.
   std::vector<core::FilterRule> rules;
@@ -50,14 +51,12 @@ struct ConsumerOptions {
   /// Observability registry; null = uninstrumented. Registers consumer.*
   /// and filter.* labelled consumer=<name>.
   obs::MetricsRegistry* metrics = nullptr;
-  /// Fan-out hub to ride instead of a private transport receiver. Null
-  /// (default) keeps the legacy topology: own receiver on every shard
-  /// output, per-consumer filtering, own delivery thread. Non-null
-  /// subscribes this consumer's compiled rules into the hub's shared
-  /// index: matching happens once per batch hub-side, the hub's
-  /// delivery workers run the callback, and the hub's credit window
-  /// demotes this consumer to store replay if it stops draining. Must
-  /// outlive the consumer.
+  /// Fan-out hub this consumer rides (ScalableMonitor::make_consumer
+  /// fills it in). The consumer's compiled rules join the hub's shared
+  /// index, the hub's delivery workers run the callback, and the hub's
+  /// credit window demotes this consumer to store replay if it stops
+  /// draining. Null makes a replay-only consumer: replay_historic works,
+  /// start() fails, and it never acknowledges. Must outlive the consumer.
   FanOutHub* hub = nullptr;
   /// Manual acknowledgement: the consumer never advances the store ack
   /// cursor past what the application has declared durable via
@@ -75,11 +74,15 @@ class Consumer {
   using EventCallback = std::function<void(const core::StdEvent&)>;
   using BatchCallback = std::function<void(const core::EventBatch&)>;
 
-  Consumer(msgq::Bus& bus, ShardedAggregator& aggregator, std::string name,
-           ConsumerOptions options, EventCallback callback);
+  Consumer(ShardedAggregator& aggregator, std::string name, ConsumerOptions options,
+           EventCallback callback);
   /// Batch-aware variant: the callback is invoked once per received
   /// batch with only the events that pass this consumer's filter. The
   /// per-event constructor is a shim over the same batched path.
+  Consumer(ShardedAggregator& aggregator, std::string name, ConsumerOptions options,
+           BatchCallback callback);
+  /// The batch-aware constructor under its older signature; the bus is
+  /// unused.
   Consumer(msgq::Bus& bus, ShardedAggregator& aggregator, std::string name,
            ConsumerOptions options, BatchCallback callback);
   ~Consumer();
@@ -87,21 +90,19 @@ class Consumer {
   Consumer(const Consumer&) = delete;
   Consumer& operator=(const Consumer&) = delete;
 
-  /// Start/stop delivery. Legacy mode owns a delivery thread; hub mode
-  /// attaches a handler to the hub's delivery workers (stop() detaches
-  /// it, waiting for a turn in flight, and stops a running catch-up).
-  /// Either way the callback is never invoked concurrently and sees
-  /// each stream in order.
+  /// Start/stop delivery: start() attaches a handler to the hub's
+  /// delivery workers; stop() detaches it, waiting for a turn in flight,
+  /// and stops a running catch-up. The callback is never invoked
+  /// concurrently and sees each stream in order. start() fails on a
+  /// replay-only consumer (no hub).
   common::Status start();
   void stop();
 
-  /// Fail-stop this consumer: delivery stops, frames in the private
-  /// inbox are lost with it, nothing further is acked. (Hub-mode items
-  /// stay queued in the hub; restart() skips what its replay covered.)
-  /// restart() recovers.
+  /// Fail-stop this consumer: delivery stops and nothing further is
+  /// acked. Items already queued stay in the hub; restart() skips what
+  /// its replay covered.
   void crash();
-  /// Restart after crash(): reopen the inbox (empty — a real restart has
-  /// no process memory), replay from the last acknowledged cursor so
+  /// Restart after crash(): replay from the last acknowledged cursor so
   /// nothing delivered-and-acked repeats and nothing unacked is lost,
   /// then resume delivery. Replayed and live deliveries overlapping
   /// during catch-up are collapsed by the per-source dedup window.
@@ -139,41 +140,37 @@ class Consumer {
   /// Sequences the dedup windows hold above their watermarks, summed
   /// over sources: deliveries still waiting for a predecessor.
   std::size_t dedup_pending() const;
-  /// Events lost to the high-water mark (only with kDropNewest).
-  std::uint64_t dropped() const {
-    return receiver_ != nullptr ? receiver_->dropped() : 0;
-  }
   /// Sum of the per-shard seen watermarks — total distinct events this
   /// consumer has observed; equal to the plain last id with one shard.
   common::EventId last_seen_id() const { return last_seen_sum_.load(); }
   /// Snapshot of the per-shard seen cursor.
   VectorCursor seen_cursor() const;
   const std::string& name() const { return name_; }
-  /// Hub mode only: current flow-control state of this consumer's
-  /// subscription (kLive when not in hub mode).
+  /// Flow-control state of this consumer's hub subscription (kLive for
+  /// a replay-only consumer).
   FlowState flow_state() const;
-  /// Hub mode only: true once the hub evicted this consumer for never
-  /// draining its backlog.
+  /// True once the hub evicted this consumer for never draining its
+  /// backlog.
   bool evicted() const { return evicted_.load(); }
 
  private:
-  Consumer(msgq::Bus& bus, ShardedAggregator& aggregator, std::string name,
-           ConsumerOptions options, EventCallback callback, BatchCallback batch_callback);
+  Consumer(ShardedAggregator& aggregator, std::string name, ConsumerOptions options,
+           EventCallback callback, BatchCallback batch_callback);
 
-  /// Legacy delivery thread: decode and deliver private-inbox frames.
-  void run();
   /// Hub handler, run on a hub delivery worker: delivers batch items,
   /// and on a kDemoted marker parks the subscription while catch_up
   /// runs on its own thread (which resumes it when done).
   FanOutHub::Turn on_hub_item(const HubItem& item);
   /// Deliver one hub batch item: the index already matched the events,
-  /// so delivery skips local filtering, guards against ids at or below
-  /// the seen watermark (replay/live seam insurance), and then settles
-  /// the frame's source through its last cookie and advances the seen
-  /// watermark to its last id, matched or not, so acks and the dedup
-  /// watermark keep progressing for consumers whose rules match
-  /// sparsely. Hands the frame itself to the callback when every event
-  /// matched and none was seen before.
+  /// so delivery skips local filtering. Duplicates (a replay/live seam,
+  /// a restart) are dropped by the per-source cookie window, never by
+  /// id: after a torn commit the aggregator renumbers the tail, so an id
+  /// at or below the seen watermark can name a record not delivered yet.
+  /// Then settles the frame's source through its last cookie and
+  /// advances the seen watermark to its last id, matched or not, so acks
+  /// and the dedup watermark keep progressing for consumers whose rules
+  /// match sparsely. Hands the frame itself to the callback when every
+  /// event matched.
   void deliver_hub_item(const HubItem& item);
   /// Demoted catch-up: page the merged store replay through this
   /// consumer's own rules until within promotion range, promote, then
@@ -205,19 +202,16 @@ class Consumer {
   /// empty batch).
   void deliver_locked(const core::EventBatch& batch, bool dedup_filter,
                       bool already_filtered);
-  /// Ack-interval check; caller holds deliver_mu_. Routes the cursor to
-  /// the hub (min-ack + credit replenish) or straight to the aggregator.
+  /// Ack-interval check; caller holds deliver_mu_. Sends the cursor to
+  /// the hub (min-ack + credit replenish); a replay-only consumer never
+  /// acks.
   void maybe_ack_locked();
 
-  msgq::Bus& bus_;
   ShardedAggregator& aggregator_;
   std::string name_;
   ConsumerOptions options_;
   EventCallback callback_;
   BatchCallback batch_callback_;
-  /// Receiving endpoint on the aggregator tier's transport: every shard's
-  /// output sender connects here, whatever carries the frames.
-  std::shared_ptr<transport::Receiver> receiver_;
   mutable std::mutex deliver_mu_;  ///< Serializes live and replay deliveries.
   /// Thread currently inside deliver_batch (holding deliver_mu_ across
   /// the application callback), or a default id. Lets
@@ -242,7 +236,6 @@ class Consumer {
   mutable std::mutex ack_floor_mu_;
   VectorCursor ack_floor_;
   bool ack_floor_dirty_ = false;  ///< Guarded by ack_floor_mu_.
-  std::jthread worker_;  ///< Legacy mode only.
   std::atomic<std::uint64_t> delivered_{0};
   std::atomic<std::uint64_t> filtered_{0};
   std::atomic<std::uint64_t> duplicates_{0};
@@ -253,7 +246,7 @@ class Consumer {
   /// Rules compiled once at subscription: pre-normalized roots, kind
   /// masks, counters bound (no per-event labelled-metric lookups).
   core::CompiledRuleSet compiled_;
-  /// Hub subscription handle (hub mode only).
+  /// Hub subscription handle (null for a replay-only consumer).
   std::shared_ptr<FanOutHub::Subscription> hub_sub_;
   /// Hub-delivered events processed since the last ack — replenishes the
   /// credit window at ack time. Guarded by deliver_mu_.
@@ -261,9 +254,8 @@ class Consumer {
   obs::Counter* delivered_counter_ = nullptr;
   obs::Counter* replayed_counter_ = nullptr;
   obs::Gauge* delivery_lag_gauge_ = nullptr;
-  obs::Gauge* overflow_dropped_gauge_ = nullptr;
   obs::HistogramMetric* batch_size_hist_ = nullptr;
-  /// Hub mode: the demoted catch-up, started by on_hub_item. Touched only
+  /// The demoted catch-up, started by on_hub_item. Touched only
   /// inside a delivery turn or after detach(), so never concurrently.
   std::jthread catch_up_;
 };

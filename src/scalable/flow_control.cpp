@@ -80,8 +80,8 @@ FanOutHub::FanOutHub(ShardedAggregator& aggregator, FlowControlOptions options)
   for (std::size_t k = 0; k < aggregator_.shard_count(); ++k)
     aggregator_.shard(k).connect_output(receiver_);
   // Start from the current live watermark: events published before a
-  // subscription exists are historic, same as a legacy consumer that
-  // connects late.
+  // subscription exists are historic; a late consumer replays them from
+  // the store.
   heads_ = aggregator_.head_cursor();
 }
 
@@ -90,6 +90,7 @@ FanOutHub::~FanOutHub() { stop(); }
 Status FanOutHub::start() {
   if (running_.load()) return Status::ok();
   running_.store(true);
+  if (receiver_->closed()) receiver_->reopen();  // started again after stop()
   {
     std::lock_guard lock(pool_mu_);
     pool_stopping_ = false;

@@ -1,16 +1,12 @@
 // FanOutHub: subscription-indexed fan-out with credit-based
-// per-consumer flow control (ROADMAP item 2).
+// per-consumer flow control — the only path from the aggregator tier to
+// live consumers.
 //
-// The legacy topology gives every consumer its own transport receiver on
-// every shard output: frame delivery is a refcount bump, but each
-// consumer then decodes every batch and runs its own rule set over every
-// event — O(consumers × events) matching work, and one slow consumer
-// with kBlock back-pressure can stall the shard's sender.
-//
-// The hub collapses that to one receiver: a single pump thread decodes
+// One receiver sits on every shard output: a single pump thread decodes
 // each frame once, runs the shared SubscriptionIndex once per batch, and
 // pushes {shared decoded batch, matched indices} items into per-consumer
-// queues. Matching cost grows with matched events, not subscriber count.
+// queues. Matching cost grows with matched events, not subscriber count,
+// and no consumer's back-pressure reaches a shard's sender.
 //
 // Delivery runs on a small pool of workers owned by the hub, not on a
 // thread per subscriber. A queue that gains an item puts its
@@ -41,8 +37,8 @@
 // Acknowledgement forwarding: the hub forwards the element-wise MINIMUM
 // acked cursor across all non-evicted subscriptions to the shard stores,
 // so a purge can never drop an event a demoted consumer still needs for
-// catch-up. (Legacy consumers ack independently, which lets the fastest
-// consumer's watermark race ahead of the slowest's replay needs.)
+// catch-up: the fastest consumer's watermark never races ahead of the
+// slowest's replay needs.
 #pragma once
 
 #include <chrono>

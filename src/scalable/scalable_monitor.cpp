@@ -61,19 +61,15 @@ ScalableMonitor::ScalableMonitor(lustre::LustreFs& fs, ScalableMonitorOptions op
     const auto mdt = mdt_of_source(source);
     if (mdt && *mdt < collectors_.size()) collectors_[*mdt]->rewind_to_cleared();
   });
-  if (options_.fanout_hub) {
-    FlowControlOptions flow = options_.flow;
-    flow.metrics = options_.aggregator.metrics;
-    hub_ = std::make_unique<FanOutHub>(*sharded_, flow);
-  }
+  FlowControlOptions flow = options_.flow;
+  flow.metrics = options_.aggregator.metrics;
+  hub_ = std::make_unique<FanOutHub>(*sharded_, flow);
 }
 
 Status ScalableMonitor::start() {
   if (running_) return Status::ok();
   if (auto s = sharded_->start(); !s.is_ok()) return s;
-  if (hub_ != nullptr) {
-    if (auto s = hub_->start(); !s.is_ok()) return s;
-  }
+  if (auto s = hub_->start(); !s.is_ok()) return s;
   for (auto& collector : collectors_) {
     if (auto s = collector->start(); !s.is_ok()) return s;
   }
@@ -84,17 +80,18 @@ Status ScalableMonitor::start() {
 void ScalableMonitor::stop() {
   if (!running_) return;
   for (auto& collector : collectors_) collector->stop();
-  if (hub_ != nullptr) hub_->stop();
+  // The shards drain their inboxes into the hub before it closes.
   sharded_->stop();
+  hub_->stop();
   running_ = false;
 }
 
 std::unique_ptr<Consumer> ScalableMonitor::make_consumer(std::string name,
                                                          ConsumerOptions options,
                                                          Consumer::EventCallback callback) {
-  if (hub_ != nullptr && options.hub == nullptr) options.hub = hub_.get();
-  auto consumer = std::make_unique<Consumer>(bus_, *sharded_, std::move(name),
-                                             std::move(options), std::move(callback));
+  if (options.hub == nullptr) options.hub = hub_.get();
+  auto consumer = std::make_unique<Consumer>(*sharded_, std::move(name), std::move(options),
+                                             std::move(callback));
   if (running_) consumer->start();
   return consumer;
 }
@@ -102,9 +99,9 @@ std::unique_ptr<Consumer> ScalableMonitor::make_consumer(std::string name,
 std::unique_ptr<Consumer> ScalableMonitor::make_consumer(std::string name,
                                                          ConsumerOptions options,
                                                          Consumer::BatchCallback callback) {
-  if (hub_ != nullptr && options.hub == nullptr) options.hub = hub_.get();
-  auto consumer = std::make_unique<Consumer>(bus_, *sharded_, std::move(name),
-                                             std::move(options), std::move(callback));
+  if (options.hub == nullptr) options.hub = hub_.get();
+  auto consumer = std::make_unique<Consumer>(*sharded_, std::move(name), std::move(options),
+                                             std::move(callback));
   if (running_) consumer->start();
   return consumer;
 }

@@ -1,9 +1,10 @@
 // ScalableMonitor: the assembled scalable Lustre DSI (paper Figure 4).
 //
-// Wires one Collector per MDS, the Aggregator on the MGS, and any number
-// of Consumers over the pub/sub bus. Also provides ScalableDsi, the
-// core::DsiBase adapter that lets the FsMonitor facade treat an entire
-// Lustre deployment as just another storage backend (scheme "lustre").
+// Wires one Collector per MDS, the Aggregator on the MGS, the FanOutHub
+// on its output, and any number of Consumers riding the hub. Also
+// provides ScalableDsi, the core::DsiBase adapter that lets the
+// FsMonitor facade treat an entire Lustre deployment as just another
+// storage backend (scheme "lustre").
 #pragma once
 
 #include <memory>
@@ -24,16 +25,14 @@ struct ScalableMonitorOptions {
   /// through the ShardRouter (see docs/ARCHITECTURE.md).
   std::size_t shards = 1;
   /// Transport every pipeline hop rides on (collector senders, shard
-  /// inboxes/outputs, consumer receivers). Null (default) = in-process
+  /// inboxes/outputs, the hub's receiver). Null (default) = in-process
   /// over the monitor's bus. Must outlive the monitor.
   transport::Transport* transport = nullptr;
-  /// Create a FanOutHub on the aggregator tier and subscribe every
-  /// make_consumer() through it: one shared receiver, one decode and one
-  /// index evaluation per batch, credit-based flow control per consumer.
-  /// Off (default) keeps the legacy per-consumer topology.
-  bool fanout_hub = false;
-  /// Flow-control tuning for the hub (used when fanout_hub is true; the
-  /// metrics field is overridden by the aggregator's registry).
+  /// Ignored: every monitor fans out through its FanOutHub. Kept so
+  /// existing callers still compile.
+  bool fanout_hub = true;
+  /// Flow-control tuning for the hub (the metrics field is overridden by
+  /// the aggregator's registry).
   FlowControlOptions flow;
 };
 
@@ -45,8 +44,8 @@ class ScalableMonitor {
   common::Status start();
   void stop();
 
-  /// Create (and start, if the monitor is running) a consumer attached to
-  /// this monitor's aggregator.
+  /// Create (and start, if the monitor is running) a consumer riding
+  /// this monitor's hub.
   std::unique_ptr<Consumer> make_consumer(std::string name, ConsumerOptions options,
                                           Consumer::EventCallback callback);
   /// Batch-aware variant: the callback receives each matching batch once.
@@ -57,8 +56,8 @@ class ScalableMonitor {
   /// aggregator accessor. Sharded callers use sharded().
   Aggregator& aggregator() { return sharded_->shard(0); }
   ShardedAggregator& sharded() { return *sharded_; }
-  /// The shared fan-out hub; null unless options.fanout_hub was set.
-  FanOutHub* hub() { return hub_.get(); }
+  /// The shared fan-out hub every consumer rides.
+  FanOutHub& hub() { return *hub_; }
   Collector& collector(std::size_t i) { return *collectors_.at(i); }
   std::size_t collector_count() const { return collectors_.size(); }
   msgq::Bus& bus() { return bus_; }

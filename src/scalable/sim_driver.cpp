@@ -180,6 +180,8 @@ struct SimState {
   sim::Engine engine;
   std::unique_ptr<lustre::LustreFs> fs;
   std::vector<std::unique_ptr<WorkloadDriver>> drivers;  // one per MDS
+  /// Each driver's arrival closure; it reschedules itself by copy.
+  std::vector<std::function<void()>> arrivals;
   std::vector<SimCollector> collectors;
   std::uint64_t generated = 0;
   std::uint64_t reported = 0;
@@ -270,20 +272,19 @@ struct SimState {
     // One deterministic arrival process per driver, phase-offset so
     // multi-MDS arrivals interleave rather than burst.
     const auto interval = common::from_seconds(1.0 / per_mds_rate());
+    arrivals.resize(drivers.size());
     for (std::size_t d = 0; d < drivers.size(); ++d) {
-      auto arrival = std::make_shared<std::function<void()>>();
-      WorkloadDriver* driver = drivers[d].get();
-      *arrival = [this, interval, arrival, driver] {
+      arrivals[d] = [this, interval, d] {
         if (engine.now().time_since_epoch() >= config.duration) return;
-        if (driver->step()) {
+        if (drivers[d]->step()) {
           ++generated;
           if (generated_counter != nullptr) generated_counter->inc();
         }
-        engine.schedule(interval, *arrival);
+        engine.schedule(interval, arrivals[d]);
       };
       engine.schedule(interval * static_cast<std::int64_t>(d) /
                           static_cast<std::int64_t>(drivers.size()),
-                      *arrival);
+                      arrivals[d]);
     }
   }
 
@@ -439,10 +440,11 @@ SimReport run_robinhood_sim(const SimConfig& config) {
 
   // Client-side round-robin poller: per visit pay an RPC round trip,
   // then ingest up to robinhood_batch events at the per-event cost.
-  auto poller = std::make_shared<std::function<void(std::uint32_t)>>();
+  // Owned here, not by its own closures; the engine runs before it goes.
+  std::function<void(std::uint32_t)> poller;
   auto& engine = state.engine;
   const auto& profile = config.profile;
-  *poller = [&state, &engine, &profile, poller, &config](std::uint32_t index) {
+  poller = [&state, &engine, &profile, &poller, &config](std::uint32_t index) {
     if (engine.now().time_since_epoch() >= config.duration + std::chrono::seconds(2)) return;
     auto& c = state.collectors[index];
     const std::size_t n = std::min(c.outbox.size(), profile.robinhood_batch);
@@ -451,15 +453,15 @@ SimReport run_robinhood_sim(const SimConfig& config) {
         profile.robinhood_poll_rtt +
         profile.robinhood_event_cost * static_cast<std::int64_t>(n);
     const std::uint32_t next = (index + 1) % static_cast<std::uint32_t>(state.collectors.size());
-    engine.schedule(visit_cost, [&state, poller, next, n, index, &config] {
+    engine.schedule(visit_cost, [&state, &poller, next, n, index, &config] {
       if (state.engine.now().time_since_epoch() <= config.duration) {
         state.reported += n;
         state.per_mds_reported[index % 16] += n;
       }
-      (*poller)(next);
+      poller(next);
     });
   };
-  engine.schedule(Duration::zero(), [poller] { (*poller)(0); });
+  engine.schedule(Duration::zero(), [&poller] { poller(0); });
   state.engine.run_until(TimePoint{} + config.duration + std::chrono::seconds(2));
   return state.report();
 }

@@ -295,7 +295,6 @@ Status build_mount(const ScenarioSpec& spec, Runtime& rt, const std::string& mna
     eventstore::EventStoreOptions store;
     store.directory = rt.dir / ("store_" + mname);
     options.aggregator.store = store;
-    options.fanout_hub = cfg.get_bool(key + "fanout", false);
     auto scalable_dsi =
         std::make_unique<scalable::ScalableDsi>(*mount.lustre, options, *rt.clock);
     mount.scalable = scalable_dsi.get();
@@ -491,8 +490,8 @@ std::uint64_t run_workload(const ScenarioSpec& spec, Runtime& rt,
 }
 
 /// Subscriber churn (and the virtual-time soak): cycle federated
-/// subscribers, and — where a lustre mount runs the fan-out hub — hub
-/// subscriptions, while the babysitter keeps restarting crashed stages
+/// subscribers, and — where a lustre mount exists — subscriptions on its
+/// fan-out hub, while the babysitter keeps restarting crashed stages
 /// and the manual clock compresses the configured virtual span.
 std::uint64_t run_subscriber_churn(const ScenarioSpec& spec, Runtime& rt,
                                    std::uint64_t& restarts, std::uint64_t& ops) {
@@ -504,8 +503,8 @@ std::uint64_t run_subscriber_churn(const ScenarioSpec& spec, Runtime& rt,
 
   scalable::FanOutHub* hub = nullptr;
   for (auto& mount : rt.mounts) {
-    if (mount.scalable != nullptr && mount.scalable->monitor().hub() != nullptr) {
-      hub = mount.scalable->monitor().hub();
+    if (mount.scalable != nullptr) {
+      hub = &mount.scalable->monitor().hub();
       break;
     }
   }

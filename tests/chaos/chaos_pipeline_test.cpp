@@ -382,6 +382,82 @@ TEST_F(ChaosPipelineTest, TornPersistCrashRecoversExactlyOnce) {
   monitor.stop();
 }
 
+TEST_F(ChaosPipelineTest, TornGroupRenumberedRecordsReachHubConsumer) {
+  // Fan-out runs before the WAL commit. A torn group commit keeps only
+  // a prefix of the group durable and fail-stops the shard, so after the
+  // restart the ids above that prefix go to whichever records arrive
+  // first: here another MDT's records, which the consumer has never
+  // seen, under ids at or below its seen cursor. The consumer must
+  // still deliver them; duplicates are decided by cookie, not by id.
+  LustreFsOptions fs_options;
+  fs_options.mdt_count = 2;
+  LustreFs fs(fs_options, clock_);
+  ScalableMonitorOptions o = options(dir_);
+  o.collector.publish_batch = 2;  // several frames per commit group
+  // Wide enough that every frame joins the first group, even under load.
+  o.aggregator.wal_group_commit_us = std::chrono::milliseconds(500);
+  ScalableMonitor monitor(fs, o, clock_);
+  std::mutex mu;
+  KeyCounts delivered;
+  std::string dir_on[2];  // one directory on each MDT, filled in below
+  std::atomic<int> mdt0_files{0};
+  auto consumer = monitor.make_consumer("c", ConsumerOptions{}, [&](const StdEvent& e) {
+    std::lock_guard lock(mu);
+    ++delivered[key_of(e)];
+    if (e.path.rfind(dir_on[0] + "/", 0) == 0) ++mdt0_files;
+  });
+  // A file lives on its parent's MDT.
+  for (int i = 0; dir_on[0].empty() || dir_on[1].empty(); ++i) {
+    ASSERT_LT(i, 64) << "DNE placement never used both MDTs";
+    const std::string dir = "/d" + std::to_string(i);
+    auto made = fs.mkdir(dir);
+    ASSERT_TRUE(made.is_ok());
+    if (dir_on[made.value().mdt_index].empty()) dir_on[made.value().mdt_index] = dir;
+  }
+  // The mkdirs are persisted and cleared before the fault is armed.
+  monitor.drain_collectors_once();
+
+  chaos::FaultPlan plan;
+  chaos::FaultRule torn;
+  torn.point = "wal.group_commit_torn";
+  torn.action = chaos::FaultAction::kCrash;
+  torn.arg = 1;  // the group's first batch stays durable
+  torn.max_fires = 1;
+  plan.rules.push_back(torn);
+  chaos::FaultInjector::instance().arm(std::move(plan));
+
+  ASSERT_TRUE(monitor.start().is_ok());
+  ASSERT_TRUE(consumer->start().is_ok());
+  monitor.crash_collector(1);  // MDT1 publishes nothing before the crash
+
+  constexpr int kFiles = 20;
+  for (int i = 0; i < kFiles; ++i)
+    ASSERT_TRUE(fs.create(dir_on[0] + "/f" + std::to_string(i)).is_ok());
+  wait_until([&] { return monitor.aggregator().crashed(); });
+  // Every frame of the torn group was fanned out before the commit.
+  wait_until([&] { return mdt0_files.load() == kFiles; });
+  const common::EventId seen_before = consumer->last_seen_id();
+
+  // MDT1's records reach the restarted shard first and take the ids
+  // just above the durable prefix, below seen_before.
+  monitor.crash_collector(0);
+  constexpr int kLateFiles = 8;
+  for (int i = 0; i < kLateFiles; ++i)
+    ASSERT_TRUE(fs.create(dir_on[1] + "/g" + std::to_string(i)).is_ok());
+  chaos::FaultInjector::instance().disarm();
+  ASSERT_TRUE(monitor.restart_aggregator().is_ok());
+  ASSERT_TRUE(monitor.restart_collector(1).is_ok());
+  wait_until([&] { return fs.mds(1).mdt().changelog().retained() == 0; });
+  EXPECT_LE(monitor.aggregator().last_event_id(), seen_before)
+      << "MDT1's records were not renumbered below the consumer's cursor";
+  ASSERT_TRUE(monitor.restart_collector(0).is_ok());
+
+  VERIFY_PIPELINE(monitor, fs, delivered, mu);
+  EXPECT_EQ(chaos::FaultInjector::instance().fires("wal.group_commit_torn"), 1u);
+  consumer->stop();
+  monitor.stop();
+}
+
 TEST_F(ChaosPipelineTest, SeededFaultScheduleSweepIsExactlyOnce) {
   // One seed per FSMON_CHAOS_SEED when set (tools/run_tier1.sh --chaos N
   // sweeps 1..N); a small built-in sweep otherwise.

@@ -184,7 +184,7 @@ void run_schedule(const std::filesystem::path& dir, common::RealClock& clock,
   };
   int generation = 0;
   auto consumer = std::make_unique<IndexConsumer>(
-      monitor.bus(), monitor.sharded(),
+      monitor.hub(), monitor.sharded(),
       "nsidx-g" + std::to_string(generation), make_options());
   ASSERT_TRUE(consumer->start().is_ok());
 
@@ -209,7 +209,7 @@ void run_schedule(const std::filesystem::path& dir, common::RealClock& clock,
         consumer.reset();
         ++generation;
         consumer = std::make_unique<IndexConsumer>(
-            monitor.bus(), monitor.sharded(),
+            monitor.hub(), monitor.sharded(),
             "nsidx-g" + std::to_string(generation), make_options());
         ASSERT_TRUE(consumer->start().is_ok());
         ASSERT_TRUE(
@@ -289,7 +289,7 @@ TEST_F(NsIndexPropertyTest, TwoShardFoldMatchesStructurally) {
   IndexConsumerOptions ic_options;
   ic_options.snapshot_dir = dir_ / "snaps2";
   ic_options.snapshot_every = 0;
-  IndexConsumer consumer(monitor.bus(), monitor.sharded(), "nsidx2",
+  IndexConsumer consumer(monitor.hub(), monitor.sharded(), "nsidx2",
                          std::move(ic_options));
   ASSERT_TRUE(consumer.start().is_ok());
 

@@ -86,7 +86,7 @@ TEST_F(NsIndexRecoveryTest, RestartReplaysOnlyThePostSnapshotDelta) {
   std::uint64_t expected = 0;
   {
     obs::MetricsRegistry registry;
-    IndexConsumer first(monitor.bus(), monitor.sharded(), "nsidx-a",
+    IndexConsumer first(monitor.hub(), monitor.sharded(), "nsidx-a",
                         index_options(&registry));
     ASSERT_TRUE(first.start().is_ok());
 
@@ -113,7 +113,7 @@ TEST_F(NsIndexRecoveryTest, RestartReplaysOnlyThePostSnapshotDelta) {
   ASSERT_TRUE(wait_persisted(monitor.sharded(), expected));
 
   obs::MetricsRegistry registry;
-  IndexConsumer second(monitor.bus(), monitor.sharded(), "nsidx-b",
+  IndexConsumer second(monitor.hub(), monitor.sharded(), "nsidx-b",
                        index_options(&registry));
   ASSERT_TRUE(second.start().is_ok());
   // O(delta): recovery replayed exactly the events above the snapshot
@@ -143,7 +143,7 @@ TEST_F(NsIndexRecoveryTest, TornSnapshotFallsBackToPreviousAndReplays) {
   std::uint64_t good_checkpoint = 0;
   {
     obs::MetricsRegistry registry;
-    IndexConsumer first(monitor.bus(), monitor.sharded(), "nsidx-a",
+    IndexConsumer first(monitor.hub(), monitor.sharded(), "nsidx-a",
                         index_options(&registry));
     ASSERT_TRUE(first.start().is_ok());
     for (int i = 0; i < 10; ++i) {
@@ -175,7 +175,7 @@ TEST_F(NsIndexRecoveryTest, TornSnapshotFallsBackToPreviousAndReplays) {
   ASSERT_TRUE(wait_persisted(monitor.sharded(), expected));
 
   obs::MetricsRegistry registry;
-  IndexConsumer second(monitor.bus(), monitor.sharded(), "nsidx-b",
+  IndexConsumer second(monitor.hub(), monitor.sharded(), "nsidx-b",
                        index_options(&registry));
   ASSERT_TRUE(second.start().is_ok());
   // The torn snapshot was discarded (counted), the previous one loaded,
@@ -206,7 +206,7 @@ TEST_F(NsIndexRecoveryTest, ColdStartWithNoSnapshotReplaysEverything) {
   ASSERT_TRUE(wait_persisted(monitor.sharded(), expected));
 
   obs::MetricsRegistry registry;
-  IndexConsumer consumer(monitor.bus(), monitor.sharded(), "nsidx",
+  IndexConsumer consumer(monitor.hub(), monitor.sharded(), "nsidx",
                          index_options(&registry));
   ASSERT_TRUE(consumer.start().is_ok());
   EXPECT_EQ(consumer.replayed_events(), expected);
@@ -225,7 +225,7 @@ TEST_F(NsIndexRecoveryTest, PeriodicCheckpointsAdvanceTheAckFloorLive) {
   obs::MetricsRegistry registry;
   IndexConsumerOptions options = index_options(&registry);
   options.snapshot_every = 16;  // automatic checkpoints while live
-  IndexConsumer consumer(monitor.bus(), monitor.sharded(), "nsidx",
+  IndexConsumer consumer(monitor.hub(), monitor.sharded(), "nsidx",
                          std::move(options));
   ASSERT_TRUE(consumer.start().is_ok());
 

@@ -56,9 +56,8 @@ void exercise_all_stages(obs::MetricsRegistry& registry) {
   store.directory = store_dir;
   store.flush_each_append = true;
   options.aggregator.store = store;
-  // Hub mode registers the subscription-index (subidx.*) and
+  // The monitor's hub registers the subscription-index (subidx.*) and
   // flow-control (flow.*) instruments, plus aggregator.fanout_receivers.
-  options.fanout_hub = true;
   scalable::ScalableMonitor monitor(fs, options, clock);
   scalable::ConsumerOptions consumer_options;
   consumer_options.metrics = &registry;
@@ -93,7 +92,7 @@ void exercise_all_stages(obs::MetricsRegistry& registry) {
   nsindex::IndexConsumerOptions idx_options;
   idx_options.snapshot_dir = store_dir / "nsidx";
   idx_options.metrics = &registry;
-  nsindex::IndexConsumer idx_consumer(monitor.bus(), monitor.sharded(),
+  nsindex::IndexConsumer idx_consumer(monitor.hub(), monitor.sharded(),
                                       "doc-nsidx", std::move(idx_options));
 
   // Simulator-only instruments (sim.*, consumer.delivery_latency_us, ...).

@@ -1,4 +1,4 @@
-// FanOutHub end-to-end: hub-mode delivery parity, slow-consumer
+// FanOutHub end-to-end: per-consumer filtered delivery, slow-consumer
 // demotion/promotion (gap-free, duplicate-free seam), eviction, min-ack
 // forwarding to the reliable stores, and the delivery worker pool
 // (thread bound, blocked-callback handoff, zero-copy frames, dedup
@@ -38,7 +38,6 @@ class FlowControlTest : public ::testing::Test {
   ScalableMonitorOptions options(bool with_store = true) {
     ScalableMonitorOptions o;
     o.collector.cache_size = 64;
-    o.fanout_hub = true;
     if (with_store) {
       eventstore::EventStoreOptions store;
       store.directory = dir_;
@@ -77,7 +76,6 @@ TEST_F(FlowControlTest, HubDeliversPerConsumerFilteredSubsets) {
   fs.mkdir("/keep");
   fs.mkdir("/drop");
   ScalableMonitor monitor(fs, options(/*with_store=*/false), clock);
-  ASSERT_NE(monitor.hub(), nullptr);
 
   std::atomic<int> keep_count{0};
   std::atomic<int> all_count{0};
@@ -105,10 +103,10 @@ TEST_F(FlowControlTest, HubDeliversPerConsumerFilteredSubsets) {
   })) << "keep=" << keep_count.load() << " all=" << all_count.load()
       << " keep_state=" << to_string(keep->flow_state())
       << " all_state=" << to_string(all->flow_state())
-      << " frames=" << monitor.hub()->frames_pumped();
+      << " frames=" << monitor.hub().frames_pumped();
   EXPECT_EQ(keep->flow_state(), FlowState::kLive);
   EXPECT_EQ(all->flow_state(), FlowState::kLive);
-  EXPECT_GT(monitor.hub()->frames_pumped(), 0u);
+  EXPECT_GT(monitor.hub().frames_pumped(), 0u);
   // One shared hub receiver on the shard output, not one per consumer.
   keep->stop();
   all->stop();
@@ -118,14 +116,12 @@ TEST_F(FlowControlTest, HubDeliversPerConsumerFilteredSubsets) {
 }
 
 TEST_F(FlowControlTest, HubConsumerWithMetricsDeliversWithoutReceiver) {
-  // Regression: a hub-mode consumer has no private transport receiver,
-  // but a wired metrics registry still creates the overflow gauge — the
-  // instrumented delivery path used to dereference the null receiver on
-  // the first non-empty batch.
+  // Regression: a consumer has no transport receiver of its own, and the
+  // instrumented delivery path once dereferenced one on the first
+  // non-empty batch when a metrics registry was wired.
   LustreFs fs(LustreFsOptions{}, clock);
   obs::MetricsRegistry registry;
   ScalableMonitor monitor(fs, options(/*with_store=*/false), clock);
-  ASSERT_NE(monitor.hub(), nullptr);
 
   std::atomic<int> count{0};
   ConsumerOptions metered_options;
@@ -143,7 +139,6 @@ TEST_F(FlowControlTest, HubConsumerWithMetricsDeliversWithoutReceiver) {
   monitor.stop();
 
   const obs::Labels labels{{"consumer", "metered"}};
-  EXPECT_EQ(registry.gauge("consumer.overflow_dropped", labels).value(), 0);
   EXPECT_EQ(registry.counter("consumer.events_delivered", labels).value(),
             static_cast<std::uint64_t>(kFiles));
 }
@@ -197,7 +192,7 @@ TEST_F(FlowControlTest, HubStoppedBeforeStartDoesNotBlockShardSenders) {
   // leaving the inbox open — once full it wedged the shard senders.
   LustreFs fs(LustreFsOptions{}, clock);
   ScalableMonitorOptions o;
-  o.collector.cache_size = 64;  // legacy topology; the dead hub is extra
+  o.collector.cache_size = 64;  // the monitor's own hub delivers; the dead one is extra
   ScalableMonitor monitor(fs, o, clock);
   FlowControlOptions flow;
   flow.high_water_mark = 2;  // fills after two frames if left open
@@ -429,11 +424,11 @@ TEST_F(FlowControlTest, HundredSubscribersRunOnThePoolOnly) {
   for (int i = 0; i < kFiles; ++i)
     ASSERT_TRUE(fs.create("/f" + std::to_string(i)).is_ok());
   ASSERT_TRUE(wait_until([&] { return delivered.load() >= kConsumers * kFiles; }));
-  EXPECT_EQ(monitor.hub()->delivery_workers(), monitor.hub()->pool_size());
+  EXPECT_EQ(monitor.hub().delivery_workers(), monitor.hub().pool_size());
   for (auto& consumer : consumers) consumer->stop();
   monitor.stop();
   EXPECT_EQ(delivered.load(), kConsumers * kFiles);
-  EXPECT_LE(threads.size(), monitor.hub()->pool_size());
+  EXPECT_LE(threads.size(), monitor.hub().pool_size());
 }
 
 TEST_F(FlowControlTest, BlockedCallbacksDoNotStallAHealthySubscriber) {
@@ -446,7 +441,7 @@ TEST_F(FlowControlTest, BlockedCallbacksDoNotStallAHealthySubscriber) {
   ScalableMonitorOptions o = options(/*with_store=*/false);
   o.aggregator.metrics = &registry;
   ScalableMonitor monitor(fs, o, clock);
-  const std::size_t blocked_count = monitor.hub()->pool_size() + 1;
+  const std::size_t blocked_count = monitor.hub().pool_size() + 1;
 
   std::atomic<bool> gate_closed{true};
   std::mutex gate_mu;
@@ -474,17 +469,17 @@ TEST_F(FlowControlTest, BlockedCallbacksDoNotStallAHealthySubscriber) {
     ASSERT_TRUE(fs.create("/f" + std::to_string(i)).is_ok());
   ASSERT_TRUE(wait_until([&] { return healthy_count.load() >= kFiles; }))
       << "healthy=" << healthy_count.load() << " blocked=" << blocked_entered.load()
-      << " workers=" << monitor.hub()->delivery_workers();
+      << " workers=" << monitor.hub().delivery_workers();
   // Every blocked callback holds a worker, so the healthy subscriber
   // ran on a worker started by the handoff.
   EXPECT_TRUE(wait_until([&] { return blocked_entered.load() >= blocked_count; }));
-  EXPECT_GT(monitor.hub()->delivery_workers(), monitor.hub()->pool_size());
+  EXPECT_GT(monitor.hub().delivery_workers(), monitor.hub().pool_size());
   EXPECT_GE(registry.counter("flow.delivery_handoffs").value(), 2u);
 
   gate_closed.store(false);
   gate_cv.notify_all();
   EXPECT_TRUE(wait_until(
-      [&] { return monitor.hub()->delivery_workers() == monitor.hub()->pool_size(); }));
+      [&] { return monitor.hub().delivery_workers() == monitor.hub().pool_size(); }));
   healthy->stop();
   for (auto& consumer : blocked) consumer->stop();
   monitor.stop();
@@ -758,7 +753,7 @@ TEST_F(FlowControlTest, ResumeBeforeParkKeepsDelivering) {
   ScalableMonitorOptions o = options(/*with_store=*/false);
   o.flow.credit_window = 1024;
   ScalableMonitor monitor(fs, o, clock);
-  FanOutHub& hub = *monitor.hub();
+  FanOutHub& hub = monitor.hub();
   auto sub = hub.subscribe("raw", {});
   std::atomic<int> promotions{0};
   std::atomic<bool> acking{false};

@@ -7,10 +7,13 @@
 # build-tsan and run the concurrency-heavy suites (message queue,
 # threaded pipeline, transport layer) plus the ctest `concurrency` label
 # (resolver pool, reorder buffer, single-flight, sharded cache) under it.
+# The chaos suite (ctest label `chaos`) runs there too, once with its
+# default seeds: its crash/restart schedules drive the fan-out hub's
+# delivery workers.
 #
 # --asan: additionally build an AddressSanitizer configuration in
 # build-asan and run the transport suites and the `concurrency` label
-# under it.
+# under it. LeakSanitizer checks the same runs at exit.
 #
 # Both sanitizer passes also run the namespace-index suite (ctest label
 # `nsindex`): the applier is queried from application threads while the
@@ -118,8 +121,12 @@ if $run_tsan; then
   ./build-tsan/tests/fsmon_tests --gtest_filter="$tsan_filter"
   (cd build-tsan && ctest -L concurrency --output-on-failure)
   (cd build-tsan && ctest -L nsindex --output-on-failure)
-  if (( chaos_seeds > 0 )); then chaos_sweep build-tsan; fi
-  echo "OK: ThreadSanitizer pass over the concurrency suites is clean."
+  if (( chaos_seeds > 0 )); then
+    chaos_sweep build-tsan
+  else
+    (cd build-tsan && ctest -L chaos --output-on-failure)
+  fi
+  echo "OK: ThreadSanitizer pass over the concurrency and chaos suites is clean."
 fi
 
 if $run_asan; then
@@ -133,10 +140,12 @@ if $run_asan; then
   # The merged replay decodes out of per-shard page buffers, so the shard
   # merge suite runs here too. ObserverTest restarts monitors over one
   # MemFs, whose listeners must not outlive the DSIs that installed them.
+  # SimDriverTest runs the virtual-time simulator, whose self-scheduling
+  # closures (arrivals, the Robinhood poller) must not own themselves.
   asan_filter="FrameRefTest.*:SpscRingTest.*:ShmRingTest.*:*TransportTest.*"
   asan_filter+=":ByteIdentityTest.*:TcpTest.*"
   asan_filter+=":SubIndexTest.*:SubIndexPropertyTest.*:FlowControlTest.*"
-  asan_filter+=":ShardMergeTest.*:ObserverTest.*"
+  asan_filter+=":ShardMergeTest.*:ObserverTest.*:SimDriverTest.*"
   ./build-asan/tests/fsmon_tests --gtest_filter="$asan_filter"
   (cd build-asan && ctest -L concurrency --output-on-failure)
   (cd build-asan && ctest -L nsindex --output-on-failure)
