@@ -45,13 +45,8 @@ IndexConsumer::IndexConsumer(scalable::FanOutHub& hub, scalable::ShardedAggregat
       snapshots_(SnapshotStoreOptions{options_.snapshot_dir, options_.snapshot_keep,
                                       options_.metrics}) {
   if (options_.metrics != nullptr) {
-    auto& m = *options_.metrics;
-    replayed_counter_ = &m.counter("nsidx.replayed_events", {},
-                                   "events re-folded from the store during recovery");
-    stashed_counter_ = &m.counter("nsidx.stashed_events", {},
-                                  "out-of-order events parked at the replay/live seam");
-    gap_repairs_counter_ = &m.counter("nsidx.gap_repairs", {},
-                                      "store re-pages triggered by a stalled id gap");
+    replayed_counter_ = &options_.metrics->counter(
+        "nsidx.replayed_events", {}, "events re-folded from the store during recovery");
   }
 }
 
@@ -66,6 +61,8 @@ Status IndexConsumer::start() {
   if (!recovered) return recovered.status();
   last_checkpoint_seq_.store(index_.applied_seq());
   const VectorCursor snapshot_cursor = index_.applied_cursor();
+
+  refused_.assign(aggregator_.shard_count(), false);
 
   // 2. Attach the manual-ack consumer. The ack floor starts at the
   //    snapshot cursor: everything below it is durably folded.
@@ -83,8 +80,8 @@ Status IndexConsumer::start() {
 
   // 3. O(delta) catch-up: replay only events above the snapshot cursor.
   //    Runs before delivery starts (same ordering as Consumer::restart:
-  //    replay first so the dedup window seeds from the oldest unacked
-  //    record). nsidx.replayed_events counts exactly this delta.
+  //    the replay raises the id floor over the live items it covers).
+  //    nsidx.replayed_events counts exactly this delta.
   replayed_events_.store(0);
   recovering_.store(true);
   auto replayed = consumer_->replay_historic(snapshot_cursor, /*rewind=*/true);
@@ -100,8 +97,6 @@ Status IndexConsumer::start() {
     return s;
   }
   running_.store(true);
-  applied_at_last_tick_.store(index_.applied_seq());
-  repair_ = std::jthread([this](std::stop_token stop) { repair_loop(stop); });
   return Status::ok();
 }
 
@@ -110,61 +105,31 @@ void IndexConsumer::stop() {
     consumer_.reset();
     return;
   }
-  if (repair_.joinable()) {
-    repair_.request_stop();
-    repair_.join();
-  }
   if (consumer_ != nullptr) consumer_->stop();
   consumer_.reset();
 }
 
 void IndexConsumer::on_batch(const core::EventBatch& batch) {
+  using ApplyResult = NamespaceIndex::ApplyResult;
   const std::size_t shard_count = aggregator_.shard_count();
   for (const core::StdEvent& event : batch.events) {
     const std::size_t shard =
         shard_count == 1 ? 0 : aggregator_.map().shard_of(event.source);
-    apply_or_stash(shard, event);
+    const ApplyResult result = index_.apply(shard, event);
+    if (result == ApplyResult::kApplied && recovering_.load()) {
+      replayed_events_.fetch_add(1);
+      if (replayed_counter_ != nullptr) replayed_counter_->inc();
+    } else if (result == ApplyResult::kOutOfOrder && !refused_[shard]) {
+      refused_[shard] = true;
+      FSMON_ERROR("nsindex", name_, ": shard ", shard, " delivered id ", event.id,
+                  " after ", index_.applied_cursor().at(shard),
+                  "; its index stops here until a restart replays from the snapshot");
+    }
   }
   if (options_.snapshot_every > 0 &&
       index_.applied_seq() - last_checkpoint_seq_.load() >= options_.snapshot_every) {
     if (Status s = checkpoint(); !s.is_ok())
       FSMON_WARN("nsindex", "checkpoint failed (will retry): ", s.to_string());
-  }
-}
-
-void IndexConsumer::apply_or_stash(std::size_t shard, const core::StdEvent& event) {
-  using ApplyResult = NamespaceIndex::ApplyResult;
-  const ApplyResult result = index_.apply(shard, event);
-  if (result == ApplyResult::kOutOfOrder) {
-    // The seam between replayed and live delivery can run ahead of a
-    // gap; park the event and re-offer once the gap closes.
-    auto& pending = stash_[shard];
-    if (pending.emplace(event.id, event).second) {
-      stash_size_.fetch_add(1);
-      if (stashed_counter_ != nullptr) stashed_counter_->inc();
-    }
-    return;
-  }
-  if (result != ApplyResult::kApplied) return;  // duplicate
-  if (recovering_.load()) {
-    replayed_events_.fetch_add(1);
-    if (replayed_counter_ != nullptr) replayed_counter_->inc();
-  }
-  // The gap (if any) just moved: drain every parked event that is now
-  // next in line; stale parked duplicates fall out as kDuplicate.
-  auto it = stash_.find(shard);
-  if (it == stash_.end()) return;
-  auto& pending = it->second;
-  while (!pending.empty()) {
-    auto first = pending.begin();
-    const ApplyResult r = index_.apply(shard, first->second);
-    if (r == ApplyResult::kOutOfOrder) break;
-    if (r == ApplyResult::kApplied && recovering_.load()) {
-      replayed_events_.fetch_add(1);
-      if (replayed_counter_ != nullptr) replayed_counter_->inc();
-    }
-    pending.erase(first);
-    stash_size_.fetch_sub(1);
   }
 }
 
@@ -179,25 +144,6 @@ Status IndexConsumer::checkpoint() {
   last_checkpoint_seq_.store(seq);
   if (consumer_ != nullptr) consumer_->acknowledge_processed(cursor);
   return Status::ok();
-}
-
-void IndexConsumer::repair_loop(std::stop_token stop) {
-  while (!stop.stop_requested()) {
-    std::this_thread::sleep_for(options_.repair_interval);
-    if (stop.stop_requested()) break;
-    if (stash_size_.load() == 0) continue;
-    // A gap with no progress since the last tick will not close from
-    // queued deliveries — the missing events were published before this
-    // consumer attached. Re-page the store from the index cursor; the
-    // delivery path applies them and the stash drains. replay_historic
-    // serializes with live delivery, so this is safe while running.
-    const std::uint64_t seq = index_.applied_seq();
-    if (seq != applied_at_last_tick_.exchange(seq)) continue;
-    if (gap_repairs_counter_ != nullptr) gap_repairs_counter_->inc();
-    if (auto r = consumer_->replay_historic(index_.applied_cursor(), /*rewind=*/true);
-        !r)
-      FSMON_WARN("nsindex", "gap repair replay failed: ", r.status().to_string());
-  }
 }
 
 }  // namespace fsmon::nsindex

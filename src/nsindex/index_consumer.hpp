@@ -13,24 +13,22 @@
 // counted as `nsidx.replayed_events` — the regression tests pin that
 // this equals the post-snapshot delta, not the full history.
 //
-// The delivery seam (replayed and live batches interleaving during
-// catch-up) can present events out of order relative to a shard's dense
-// id sequence. The applier refuses those; this consumer stashes them
-// and re-offers each time the gap closes. If a gap never closes from
-// deliveries alone (an event published before this consumer attached,
-// persisted after its replay finished), a repair tick re-pages the
-// store from the index cursor and the stash drains.
+// The consumer delivers each shard's events once, in dense id order:
+// shards fan out only committed records, the hub fills any id gap from
+// the store, and the consumer's id floor drops the overlap between the
+// start-up replay and live delivery. The applier still refuses an
+// out-of-order id; such a refusal is logged once per shard, and that
+// shard's index stops advancing until a restart replays from the
+// snapshot.
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <filesystem>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
+#include <vector>
 
 #include "src/nsindex/nsindex.hpp"
 #include "src/nsindex/snapshot.hpp"
@@ -54,8 +52,6 @@ struct IndexConsumerOptions {
   /// Underlying consumer cadence/paging.
   std::size_t ack_interval = 1024;
   std::size_t replay_page = 4096;
-  /// Repair tick: how often to check for a stalled id gap.
-  std::chrono::milliseconds repair_interval = std::chrono::milliseconds(50);
 };
 
 /// Reference fold: replay the stores' full merged history into `index`
@@ -96,16 +92,11 @@ class IndexConsumer {
   std::uint64_t replayed_events() const { return replayed_events_.load(); }
   /// applied_seq at the last successful checkpoint.
   std::uint64_t last_checkpoint_seq() const { return last_checkpoint_seq_.load(); }
-  /// Out-of-order events currently parked waiting for their gap.
-  std::size_t stashed() const { return stash_size_.load(); }
 
   const std::string& name() const { return name_; }
 
  private:
   void on_batch(const core::EventBatch& batch);
-  /// Apply one event; stash on out-of-order, drain the stash on success.
-  void apply_or_stash(std::size_t shard, const core::StdEvent& event);
-  void repair_loop(std::stop_token stop);
 
   scalable::FanOutHub& hub_;
   scalable::ShardedAggregator& aggregator_;
@@ -114,20 +105,15 @@ class IndexConsumer {
   NamespaceIndex index_;
   SnapshotStore snapshots_;
   std::unique_ptr<scalable::Consumer> consumer_;
-  /// Parked out-of-order events per shard, keyed by id. Only touched on
-  /// the (serialized) delivery path.
-  std::map<std::size_t, std::map<common::EventId, core::StdEvent>> stash_;
-  std::atomic<std::size_t> stash_size_{0};
+  /// Shards whose out-of-order refusal was logged. Only touched on the
+  /// (serialized) delivery path.
+  std::vector<bool> refused_;
   std::atomic<bool> recovering_{false};
   std::atomic<std::uint64_t> replayed_events_{0};
   std::atomic<std::uint64_t> last_checkpoint_seq_{0};
-  std::atomic<std::uint64_t> applied_at_last_tick_{0};
   std::mutex checkpoint_mu_;  ///< Serializes checkpoint() callers.
-  std::jthread repair_;
   std::atomic<bool> running_{false};
   obs::Counter* replayed_counter_ = nullptr;
-  obs::Counter* stashed_counter_ = nullptr;
-  obs::Counter* gap_repairs_counter_ = nullptr;
 };
 
 }  // namespace fsmon::nsindex

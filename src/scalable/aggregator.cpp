@@ -37,6 +37,7 @@ Aggregator::Aggregator(msgq::Bus& bus, std::string name, AggregatorOptions optio
     if (store_options.labels.empty()) store_options.labels = options_.labels;
     store_ = std::make_unique<eventstore::EventStore>(store_options);
     next_id_.store(store_->last_id() + 1);
+    durable_id_.store(store_->last_id());
     rebuild_accepted_from_store();
   }
   if (options_.metrics != nullptr) {
@@ -47,12 +48,6 @@ Aggregator::Aggregator(msgq::Bus& bus, std::string name, AggregatorOptions optio
         "recovery.gapped_frames", options_.labels,
         "Frames refused because they opened a hole above the durable watermark",
         "frames");
-    publish_retried_counter_ = &options_.metrics->counter(
-        "aggregator.publish_retries", options_.labels,
-        "Fan-out sends retried after a refusal with a live audience", "sends");
-    publish_abandoned_counter_ = &options_.metrics->counter(
-        "aggregator.publish_abandoned", options_.labels,
-        "Fan-out frames dropped after exhausting refusal retries", "frames");
   }
   if (options_.metrics != nullptr) {
     auto& registry = *options_.metrics;
@@ -155,16 +150,16 @@ Status Aggregator::restart() {
   if (options_.store) {
     // Release the old handle first (it holds the active WAL segment open),
     // then run genuine recovery from disk: segment scan, torn-tail
-    // truncation, id resumption.
+    // truncation, id resumption. A torn group's durable prefix was never
+    // fanned out; the hub's gap fill delivers it under these same ids.
+    std::unique_lock lock(store_mu_);
     store_.reset();
     eventstore::EventStoreOptions store_options = *options_.store;
     if (store_options.metrics == nullptr) store_options.metrics = options_.metrics;
     if (store_options.labels.empty()) store_options.labels = options_.labels;
     store_ = std::make_unique<eventstore::EventStore>(store_options);
     next_id_.store(store_->last_id() + 1);
-    // Ids above the store's last one are assigned afresh: an ack for the
-    // lost numbering must not cover them.
-    requested_ack_.store(0);
+    durable_id_.store(store_->last_id());
   }
   rebuild_accepted_from_store();
   crashed_.store(false);
@@ -339,55 +334,43 @@ bool Aggregator::process_frame(transport::Frame& message) {
     publish_rate_gauge_->set(static_cast<std::int64_t>(meter_.snapshot().average_rate));
     batch_size_hist_->record(count);
     batch_bytes_hist_->record(frame.size());
-    const auto now = clock_.now();
-    for (const auto& [offset, length] : view.value().events) {
-      auto timestamp = core::peek_event_timestamp(frame.subspan(offset, length));
-      if (!timestamp) continue;
-      const auto lag = now - timestamp.value();
-      if (lag.count() >= 0)
-        fanout_lag_hist_->record(static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::microseconds>(lag).count()));
-    }
-  }
-  // Fan-out and persist share the same frame bytes: send() bumps the
-  // refcount per subscriber, the persister keeps one more ref. No copy
-  // is made on either path.
-  //
-  // A refusal here (accepted == 0 with a live audience) is the same
-  // suffix-loss hazard the collector tier guards against: the frame is
-  // about to be persisted and acked upstream, so nothing would ever
-  // replay it to consumers. Retry while the audience is alive — the
-  // refusal is a transient (reconnect window, injected drop) — and only
-  // give up after a bounded back-off so a permanently dead consumer
-  // cannot wedge the publish thread. receivers == 0 stays droppable:
-  // nobody is listening, the store has the bytes.
-  auto sent = output_->send(options_.output_topic, message.payload);
-  for (int attempt = 0; sent.accepted == 0 && sent.receivers > 0 && attempt < 50;
-       ++attempt) {
-    if (publish_retried_counter_ != nullptr) publish_retried_counter_->inc();
-    clock_.sleep_for(std::chrono::milliseconds(1));
-    sent = output_->send(options_.output_topic, message.payload);
-  }
-  if (sent.accepted == 0 && sent.receivers > 0) {
-    FSMON_WARN("aggregator", "fan-out still refused after retries; dropping frame ",
-               "for topic ", options_.output_topic);
-    if (publish_abandoned_counter_ != nullptr) publish_abandoned_counter_->inc();
   }
   if (store_ != nullptr) {
+    // The persister fans the frame out once it is durable.
     persist_queue_.push(PersistBatch{first_id, std::move(source), frame_max_seq,
                                      std::move(message.payload)});
   } else {
     // No durable store: custody ends at fan-out, ack immediately.
+    publish(message.payload);
     ack(source, frame_max_seq);
   }
   return true;
 }
 
+void Aggregator::publish(const transport::FrameRef& frame) {
+  // send() bumps the refcount per receiver; no copy is made. A refused
+  // send is not retried: the hub fills the id gap from the store.
+  output_->send(options_.output_topic, frame);
+  if (fanout_lag_hist_ == nullptr) return;
+  const auto bytes = frame.bytes();
+  auto view = core::view_batch(bytes, /*verify_crc=*/false);
+  if (!view) return;
+  const auto now = clock_.now();
+  for (const auto& [offset, length] : view.value().events) {
+    auto timestamp = core::peek_event_timestamp(bytes.subspan(offset, length));
+    if (!timestamp) continue;
+    const auto lag = now - timestamp.value();
+    if (lag.count() >= 0)
+      fanout_lag_hist_->record(static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::microseconds>(lag).count()));
+  }
+}
+
 void Aggregator::pump_loop(std::stop_token) {
-  // Publishing thread: drain the fan-in inbox one batch frame at a time,
+  // Pump thread: drain the fan-in inbox one batch frame at a time,
   // assign an id block with a single fetch_add, patch the ids into the
-  // already-encoded frame (no re-serialization), fan the frame out, and
-  // hand the same bytes to the persister.
+  // already-encoded frame (no re-serialization), and hand the bytes to
+  // the persister.
   for (;;) {
     if (crashed_.load(std::memory_order_relaxed)) break;
     auto message = input_->recv();
@@ -514,10 +497,11 @@ bool Aggregator::persist_group(std::span<PersistBatch> group) {
     if (torn_crash) {
       // Torn mid-group: a durable prefix exists but the process died
       // before the group's fsync was acknowledged to anyone — no batch
-      // of this group gets acked.
+      // of this group is sent or acked.
       crashed_.store(true);
       return false;
     }
+    durable_id_.store(first_id + payloads.size() - 1);
     commit_groups_.fetch_add(1);
     if (group_size_hist_ != nullptr) group_size_hist_->record(data_batches);
     if (group_commit_latency_hist_ != nullptr) {
@@ -529,9 +513,12 @@ bool Aggregator::persist_group(std::span<PersistBatch> group) {
     if (persisted_counter_ != nullptr) persisted_counter_->inc(payloads.size());
   }
 
-  // The whole group is durable: release acks in queue order, markers
-  // included (everything queued ahead of a marker committed with or
-  // before this group).
+  // The whole group is durable: fan its frames out, then release acks in
+  // queue order, markers included (everything queued ahead of a marker
+  // committed with or before this group).
+  for (auto& batch : group) {
+    if (!batch.frame.empty()) publish(batch.frame);
+  }
   for (auto& batch : group) ack(batch.source, batch.last_seq);
 
   if (crash_after_commit) {
@@ -583,25 +570,20 @@ void Aggregator::purge_loop(std::stop_token stop) {
 
 Result<std::vector<core::StdEvent>> Aggregator::events_since(common::EventId after_id,
                                                              std::size_t max_events) const {
+  std::shared_lock lock(store_mu_);
   if (store_ == nullptr)
     return Status(common::ErrorCode::kUnavailable, "aggregator has no event store");
   return core::decode_events_since(*store_, after_id, max_events);
 }
 
 void Aggregator::acknowledge(common::EventId up_to_id) {
-  if (store_ == nullptr) return;
-  common::EventId requested = requested_ack_.load();
-  while (requested < up_to_id && !requested_ack_.compare_exchange_weak(requested, up_to_id)) {
-  }
-  store_->mark_reported(up_to_id);
+  std::shared_lock lock(store_mu_);
+  if (store_ != nullptr) store_->mark_reported(up_to_id);
 }
 
 std::size_t Aggregator::purge() {
-  if (store_ == nullptr) return 0;
-  // An ack that outran persistence was clamped to the ids the store held
-  // then; apply the rest now, off the ack and persist paths.
-  store_->mark_reported(requested_ack_.load());
-  return store_->purge_reported();
+  std::shared_lock lock(store_mu_);
+  return store_ != nullptr ? store_->purge_reported() : 0;
 }
 
 }  // namespace fsmon::scalable

@@ -1,34 +1,40 @@
 // Aggregator service: runs on the MGS (paper Section IV "Aggregation").
 //
 // Subscribes to every collector's sender (fan-in), assigns global event
-// ids, and runs two worker threads exactly as the paper describes: "one
-// thread is responsible for publishing the aggregated file system events
-// to the subscribed consumers, and the other thread stores the events
-// into a local database to enable fault tolerance." The database is the
+// ids, and runs two worker threads as the paper describes: "one thread
+// is responsible for publishing the aggregated file system events to the
+// subscribed consumers, and the other thread stores the events into a
+// local database to enable fault tolerance." The database is the
 // reliable event store; consumers replay from it via events_since().
 //
 // Both stage boundaries ride the transport::Transport interface: frames
 // arrive on a Receiver and fan out through a Sender as immutable
 // ref-counted FrameRefs, so the aggregator never copies the encoded
 // batch — id patching happens in place and the persister shares the
-// published bytes. By default the aggregator owns an InProcTransport
-// over the bus it was given (byte-for-byte the historic topology);
-// injecting AggregatorOptions::transport rebases the same pipeline onto
+// pumped bytes. By default the aggregator owns an InProcTransport over
+// the bus it was given (byte-for-byte the historic topology); injecting
+// AggregatorOptions::transport rebases the same pipeline onto
 // shared-memory rings or TCP without the stage noticing.
 //
-// The persist path is an async group commit: the persist thread
-// coalesces whatever batches are already queued (bounded by
-// wal_group_commit_bytes, optionally waiting wal_group_commit_us for
-// stragglers) and commits the whole group with one store append and one
-// flush. Acks — including ack-only markers — are released strictly in
-// queue order, and only after the group's commit, so the exactly-once
-// acked-implies-durable invariant is untouched.
+// Durable before visible: the pump thread dedups and assigns ids, the
+// persist thread commits and only then fans out. It coalesces whatever
+// batches are already queued (bounded by wal_group_commit_bytes,
+// optionally waiting wal_group_commit_us for stragglers), commits the
+// whole group with one store append and one flush, then sends the
+// group's frames in queue order and releases its acks. Every id a
+// consumer sees is therefore in the store and keeps naming the same
+// record across a restart; a torn commit's durable prefix is delivered
+// by the fan-out hub's gap fill, never renumbered. A send the hub's
+// carrier refuses is not retried: the hub sees the id gap at the
+// shard's next frame and fills it from the store. A storeless
+// aggregator has no persist thread and sends from the pump.
 #pragma once
 
 #include <atomic>
 #include <functional>
 #include <map>
 #include <memory>
+#include <shared_mutex>
 #include <span>
 #include <string>
 #include <thread>
@@ -163,16 +169,22 @@ class Aggregator {
   }
 
   /// Historic replay from the reliable store (consumer fault recovery),
-  /// decoded straight from the store's payload views.
+  /// decoded straight from the store's payload views. Safe against a
+  /// concurrent restart().
   common::Result<std::vector<core::StdEvent>> events_since(
       common::EventId after_id, std::size_t max_events = SIZE_MAX) const;
 
   /// The fan-out hub forwards the consumers' lowest acknowledged id;
-  /// acknowledged events are removed at the next purge cycle.
+  /// acknowledged events are removed at the next purge cycle. Every id
+  /// the hub has seen is durable, so an ack never outruns the store.
   void acknowledge(common::EventId up_to_id);
   std::size_t purge();
 
+  /// Last id assigned (it may not be durable yet).
   common::EventId last_event_id() const { return next_id_.load() - 1; }
+  /// Last id whose commit group is appended and flushed: everything up
+  /// to it may be fanned out. 0 without a store.
+  common::EventId durable_id() const { return durable_id_.load(); }
   std::uint64_t aggregated() const { return aggregated_.load(); }
   std::uint64_t persisted() const { return persisted_.load(); }
   std::uint64_t purge_cycles() const { return purge_cycles_.load(); }
@@ -185,7 +197,7 @@ class Aggregator {
 
  private:
   /// An id-patched, already-encoded batch frame handed from the pump to
-  /// the persister. The frame bytes are shared with the published copy —
+  /// the persister, which stores it and then fans the same bytes out —
   /// the persist path never re-serializes and never duplicates.
   /// `source`/`last_seq` carry the durability ack the persister owes the
   /// originating collector; an empty frame is an ack-only marker.
@@ -199,15 +211,18 @@ class Aggregator {
   void pump_loop(std::stop_token stop);
   void persist_loop(std::stop_token stop);
   void purge_loop(std::stop_token stop);
-  /// One pump iteration: dedup replays, assign ids, fan out, enqueue for
-  /// persistence. Returns false if the frame was dropped (corrupt or
-  /// fully duplicate) or the stage crashed.
+  /// One pump iteration: dedup replays, assign ids, enqueue for
+  /// persistence (or fan out, when storeless). Returns false if the
+  /// frame was dropped (corrupt or fully duplicate) or the stage crashed.
   bool process_frame(transport::Frame& message);
   /// Commit one group: per-batch before_persist faults, one torn-group
   /// fault evaluation, one store append + flush for the whole group,
-  /// then acks in queue order. Returns false when the stage crashed (no
-  /// batch of the group was acked unless its prefix committed first).
+  /// then fan-out and acks in queue order. Returns false when the stage
+  /// crashed (no batch of the group was sent or acked unless its prefix
+  /// committed first).
   bool persist_group(std::span<PersistBatch> group);
+  /// Send one frame to the output and record its fan-out lag.
+  void publish(const transport::FrameRef& frame);
   void ack(std::string_view source, std::uint64_t record_index);
   void rebuild_accepted_from_store();
 
@@ -221,6 +236,9 @@ class Aggregator {
   transport::Transport* transport_ = nullptr;
   std::shared_ptr<transport::Receiver> input_;
   std::shared_ptr<transport::Sender> output_;
+  /// Held exclusively while restart() replaces store_, shared by the
+  /// readers that may run meanwhile (replay, acks, purge).
+  mutable std::shared_mutex store_mu_;
   std::unique_ptr<eventstore::EventStore> store_;
   common::BoundedQueue<PersistBatch> persist_queue_;
   common::RateMeter meter_;
@@ -228,10 +246,7 @@ class Aggregator {
   std::jthread persist_thread_;
   std::jthread purge_thread_;
   std::atomic<common::EventId> next_id_{1};
-  /// Highest id a consumer acknowledged. Fan-out runs ahead of
-  /// persistence and the store clamps an ack to the ids it holds, so
-  /// purge() applies it again first.
-  std::atomic<common::EventId> requested_ack_{0};
+  std::atomic<common::EventId> durable_id_{0};
   std::atomic<std::uint64_t> aggregated_{0};
   std::atomic<std::uint64_t> persisted_{0};
   std::atomic<std::uint64_t> purge_cycles_{0};
@@ -248,8 +263,6 @@ class Aggregator {
   std::map<std::string, std::uint64_t, std::less<>> accepted_seq_;
   obs::Counter* deduped_counter_ = nullptr;
   obs::Counter* gapped_counter_ = nullptr;
-  obs::Counter* publish_retried_counter_ = nullptr;
-  obs::Counter* publish_abandoned_counter_ = nullptr;
   obs::Counter* aggregated_counter_ = nullptr;
   obs::Counter* persisted_counter_ = nullptr;
   obs::Gauge* queue_depth_gauge_ = nullptr;

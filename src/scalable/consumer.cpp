@@ -99,82 +99,50 @@ VectorCursor Consumer::seen_cursor() const {
   return seen_;
 }
 
-std::size_t Consumer::dedup_pending() const {
-  std::lock_guard lock(deliver_mu_);
-  std::size_t pending = 0;
-  for (const auto& [source, window] : dedup_) pending += window.beyond.size();
-  return pending;
-}
-
-void Consumer::deliver_batch(const core::EventBatch& batch, bool dedup_filter,
-                             bool already_filtered) {
+void Consumer::deliver_batch(const core::EventBatch& batch, bool dedup) {
   if (batch.empty()) return;
   std::lock_guard lock(deliver_mu_);
   DeliveryOwner owner(deliver_owner_);
-  deliver_locked(batch, dedup_filter, already_filtered);
+  deliver_locked(batch, dedup, /*already_filtered=*/false);
 }
 
-void Consumer::deliver_locked(const core::EventBatch& batch, bool dedup_filter,
+void Consumer::deliver_locked(const core::EventBatch& batch, bool dedup,
                               bool already_filtered) {
   // A live frame carries one shard's events; a merged replay page may
   // mix shards. Either way the owning shard is recomputed from the
   // event source through the shared map — the same rule the router
-  // applied on the write path. The batch is walked in runs of
-  // same-source events (a live frame is one run), so the shard and the
-  // dedup window are looked up once per run, not per event.
+  // applied on the write path — once per run of same-source events.
+  // Each shard's ids are dense and never reassigned, so with `dedup` an
+  // event at or below its shard's seen watermark was delivered already.
   //
-  // Duplicate decisions are made for the whole batch before any marking:
-  // a rename's MOVED_FROM/MOVED_TO halves share one cookie and always
-  // travel in one frame, so both are fresh or both are duplicates.
-  const std::vector<core::StdEvent>& events = batch.events;
-  const std::size_t shard_count = aggregator_.shard_count();
-  dedup_runs_.clear();
-  duplicate_at_.clear();
-  for (std::size_t begin = 0, end = 0; begin < events.size(); begin = end) {
-    const std::string& source = events[begin].source;
-    for (end = begin + 1; end < events.size() && events[end].source == source; ++end) {
-    }
-    const std::size_t shard = shard_count == 1 ? 0 : aggregator_.map().shard_of(source);
-    for (std::size_t i = begin; i < end; ++i) seen_.advance(shard, events[i].id);
-    if (source.empty()) continue;
-    SourceDedupWindow& window = dedup_[source];
-    if (dedup_filter) {
-      for (std::size_t i = begin; i < end; ++i) {
-        if (events[i].cookie != 0 && !window.fresh(events[i].cookie))
-          duplicate_at_.push_back(i);
-      }
-    }
-    dedup_runs_.push_back({&window, begin, end});
-  }
-  for (const DedupRun& run : dedup_runs_) {
-    for (std::size_t i = run.begin; i < run.end; ++i) {
-      if (events[i].cookie != 0) run.window->mark(events[i].cookie);
-    }
-  }
-  last_seen_sum_.store(seen_.sum());
-  if (delivery_lag_gauge_ != nullptr) {
-    const auto head = aggregator_.last_event_id_sum();
-    const auto seen = seen_.sum();
-    delivery_lag_gauge_->set(head > seen ? static_cast<std::int64_t>(head - seen) : 0);
-    if (!batch.empty()) batch_size_hist_->record(batch.size());
-  }
   // The batch callback gets the batch itself when every event survives
   // dedup and filtering; the first dropped event switches to a copy of
   // the survivors, so each delivered event is copied at most once.
+  const std::vector<core::StdEvent>& events = batch.events;
+  const bool sharded = aggregator_.shard_count() > 1;
+  const std::string* run_source = nullptr;
+  std::size_t shard = 0;
   const core::EventBatch* delivering = &batch;
   core::EventBatch survivors;
   std::size_t delivered = 0;
   std::size_t dropped = 0;
-  auto next_duplicate = duplicate_at_.begin();
+  std::size_t duplicates = 0;
   for (std::size_t i = 0; i < events.size(); ++i) {
     const core::StdEvent& event = events[i];
+    if (sharded && (run_source == nullptr || event.source != *run_source)) {
+      run_source = &event.source;
+      shard = aggregator_.map().shard_of(event.source);
+    }
     bool keep = true;
-    if (next_duplicate != duplicate_at_.end() && *next_duplicate == i) {
-      ++next_duplicate;
+    if (dedup && event.id <= seen_.at(shard)) {
+      ++duplicates;
       keep = false;
-    } else if (!already_filtered && !compiled_.matches(event)) {
-      ++dropped;
-      keep = false;
+    } else {
+      seen_.advance(shard, event.id);
+      if (!already_filtered && !compiled_.matches(event)) {
+        ++dropped;
+        keep = false;
+      }
     }
     if (!keep) {
       if (batch_callback_ && delivering == &batch) {
@@ -190,11 +158,18 @@ void Consumer::deliver_locked(const core::EventBatch& batch, bool dedup_filter,
     else if (!batch_callback_ && callback_)
       callback_(event);
   }
+  last_seen_sum_.store(seen_.sum());
+  if (delivery_lag_gauge_ != nullptr) {
+    const auto head = aggregator_.last_event_id_sum();
+    const auto seen = seen_.sum();
+    delivery_lag_gauge_->set(head > seen ? static_cast<std::int64_t>(head - seen) : 0);
+    if (!batch.empty()) batch_size_hist_->record(batch.size());
+  }
   // One batched add per counter instead of 2-3 atomic increments per
   // event. Hub-delivered batches were matched by the shared index and
   // are not re-counted here.
   if (!already_filtered) filter_metrics_.count(delivered, dropped);
-  if (!duplicate_at_.empty()) duplicates_.fetch_add(duplicate_at_.size());
+  if (duplicates > 0) duplicates_.fetch_add(duplicates);
   if (dropped > 0) filtered_.fetch_add(dropped);
   if (delivered > 0) {
     delivered_.fetch_add(delivered);
@@ -296,10 +271,9 @@ Status Consumer::restart() {
     std::lock_guard lock(deliver_mu_);
     resume = acked_;
   }
-  // Replay BEFORE delivery resumes: if a live frame arrived first it
-  // would initialize the dedup watermark at a high index and the replayed
-  // prefix would be misread as duplicates (lost events). Replaying first
-  // seeds the window from the oldest unacked record.
+  // Replay BEFORE delivery resumes: the replay raises the seen floor to
+  // the end of the stores, so the live items queued meanwhile that it
+  // covered are dropped as duplicates and the rest follow in order.
   if (auto replayed = replay_historic(std::move(resume), /*rewind=*/true); !replayed) {
     return replayed.status();
   }
@@ -331,45 +305,25 @@ void Consumer::deliver_hub_item(const HubItem& item) {
   std::lock_guard lock(deliver_mu_);
   DeliveryOwner owner(deliver_owner_);
   hub_processed_since_ack_ += item.indices.size();
-  // No id floor (see the header): fan-out runs before persist, so a
-  // torn commit's re-published tail takes ids this consumer has passed.
+  // Matched events at or below the shard's floor were delivered already
+  // (by a replay, or before a restart). The frame itself is handed over
+  // when every event matched and none is below the floor.
+  const common::EventId floor = seen_.at(item.shard);
   const core::EventBatch* batch = &frame;
-  core::EventBatch matched;
-  if (item.indices.size() != frame.size()) {
-    matched.events.reserve(item.indices.size());
-    for (std::uint32_t index : item.indices) matched.events.push_back(frame.events[index]);
-    batch = &matched;
+  core::EventBatch fresh;
+  if (item.indices.size() != frame.size() || frame.events.front().id <= floor) {
+    fresh.events.reserve(item.indices.size());
+    for (std::uint32_t index : item.indices) {
+      if (frame.events[index].id > floor) fresh.events.push_back(frame.events[index]);
+    }
+    if (fresh.size() < item.indices.size())
+      duplicates_.fetch_add(item.indices.size() - fresh.size());
+    batch = &fresh;
   }
-  // Advance the watermark over the whole frame (matched or not) so acks
-  // keep progressing for consumers whose rules match sparsely.
+  // Then advance the watermark over the whole frame (matched or not), so
+  // acks keep progressing for consumers whose rules match sparsely.
   seen_.advance(item.shard, frame.events.back().id);
-  deliver_locked(*batch, /*dedup_filter=*/true, /*already_filtered=*/true);
-  // A live frame is one source's records in sequence order, so once its
-  // matched events are decided and marked, every record up to its last
-  // one is settled (see dedup_window.hpp). Marking it before the
-  // decision would drop a MOVED_TO whose MOVED_FROM did not match.
-  const core::StdEvent& last = frame.events.back();
-  if (!last.source.empty() && last.cookie != 0) dedup_[last.source].mark_through(last.cookie);
-}
-
-Result<std::vector<core::StdEvent>> Consumer::next_replay_page(VectorCursor& cursor) const {
-  const std::size_t page = options_.replay_page > 0 ? options_.replay_page : 4096;
-  auto events = aggregator_.events_since(cursor, page);
-  // A short page is the whole backlog: a rename's halves are persisted
-  // in one frame, so only a full page can end between them.
-  if (!events || events.value().size() < page) return events;
-  const core::StdEvent& last = events.value().back();
-  if (last.cookie == 0 || last.kind != core::EventKind::kMovedFrom) return events;
-  const std::size_t shard =
-      aggregator_.shard_count() == 1 ? 0 : aggregator_.map().shard_of(last.source);
-  auto next = aggregator_.shard(shard).events_since(cursor.at(shard), 1);
-  if (!next) return next.status();
-  if (!next.value().empty() && next.value().front().source == last.source &&
-      next.value().front().cookie == last.cookie) {
-    cursor.advance(shard, next.value().front().id);
-    events.value().push_back(std::move(next.value().front()));
-  }
-  return events;
+  deliver_locked(*batch, /*dedup=*/false, /*already_filtered=*/true);
 }
 
 void Consumer::catch_up(std::stop_token stop) {
@@ -386,7 +340,7 @@ void Consumer::catch_up(std::stop_token stop) {
       return;
     }
     VectorCursor cursor = seen_cursor();
-    auto events = next_replay_page(cursor);
+    auto events = aggregator_.events_since(cursor, page);
     if (!events) {
       // A transient store error (a shard mid-restart, a paged read
       // racing a purge) must not end catch-up: the hub sends the
@@ -405,8 +359,11 @@ void Consumer::catch_up(std::stop_token stop) {
       core::EventBatch batch;
       batch.events = std::move(events.value());
       replayed += got;
-      deliver_batch(batch, /*dedup_filter=*/true, /*already_filtered=*/false);
+      deliver_batch(batch);
     }
+    // A short page reached the end of every store, so at least the hub's
+    // head (which is durable). Promotion fails only when the head moved
+    // on by more than promote_lag meanwhile; then there is more to page.
     if (got < page) {
       if (auto target = options_.hub->try_promote(*hub_sub_, seen_cursor())) {
         replay_to_watermark(*target, stop);
@@ -414,10 +371,6 @@ void Consumer::catch_up(std::stop_token stop) {
           replayed_counter_->inc(replayed);
         return;
       }
-      // Still too far behind (the head keeps moving), or the persister
-      // has not yet caught up with the published head. Keep paging.
-      if (got == 0)
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   }
 }
@@ -425,9 +378,9 @@ void Consumer::catch_up(std::stop_token stop) {
 void Consumer::replay_to_watermark(const VectorCursor& target,
                                    std::stop_token stop) {
   // Promotion happened at `target`: frames matched after it are queued
-  // live, so replaying exactly up to it closes the demotion gap with no
-  // overlap. The store may trail the published head briefly (persistence
-  // is async) — retry empty pages until the cursor reaches the target.
+  // live, so replaying up to it closes the demotion gap; the id floor
+  // drops any overlap. The target is durable, so the store holds it.
+  const std::size_t page = options_.replay_page > 0 ? options_.replay_page : 4096;
   auto backoff = std::chrono::milliseconds(1);
   while (!stop.stop_requested()) {
     VectorCursor cursor = seen_cursor();
@@ -439,7 +392,7 @@ void Consumer::replay_to_watermark(const VectorCursor& target,
       }
     }
     if (reached) return;
-    auto events = next_replay_page(cursor);
+    auto events = aggregator_.events_since(cursor, page);
     if (!events) {
       // Giving up short of the promotion watermark would leave a silent
       // gap: the hub already resumed live delivery above `target`, so
@@ -453,12 +406,12 @@ void Consumer::replay_to_watermark(const VectorCursor& target,
     }
     backoff = std::chrono::milliseconds(1);
     if (events.value().empty()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      continue;
+      FSMON_ERROR("consumer", name_, ": the stores end short of the promotion watermark");
+      return;
     }
     core::EventBatch batch;
     batch.events = std::move(events.value());
-    deliver_batch(batch, /*dedup_filter=*/true, /*already_filtered=*/false);
+    deliver_batch(batch);
   }
 }
 
@@ -476,14 +429,10 @@ Result<std::size_t> Consumer::replay_historic(std::optional<common::EventId> aft
 }
 
 Result<std::size_t> Consumer::replay_historic(VectorCursor cursor, bool rewind) {
-  // An intentional rewind resets the dedup window so the requested range
-  // is delivered again, and bypasses the duplicate filter for the
-  // replayed batches themselves. The batches still mark the window, so
-  // live duplicates of the replayed range are suppressed afterwards.
-  if (rewind) {
-    std::lock_guard lock(deliver_mu_);
-    dedup_.clear();
-  }
+  // An intentional rewind bypasses the id floor, so the requested range
+  // is delivered again. The seen watermark still advances over it, so
+  // live duplicates of the replayed range are dropped afterwards.
+  //
   // Page through the merged view instead of materializing the whole
   // backlog: a consumer that lagged by millions of events replays in
   // `replay_page`-sized merged pages, each fetched (and freed) in turn.
@@ -493,13 +442,13 @@ Result<std::size_t> Consumer::replay_historic(VectorCursor cursor, bool rewind) 
   const std::size_t page = options_.replay_page > 0 ? options_.replay_page : 4096;
   std::size_t count = 0;
   for (;;) {
-    auto events = next_replay_page(cursor);
+    auto events = aggregator_.events_since(cursor, page);
     if (!events) return events.status();
     if (events.value().empty()) break;
     core::EventBatch batch;
     batch.events = std::move(events.value());
     count += batch.size();
-    deliver_batch(batch, /*dedup_filter=*/!rewind);
+    deliver_batch(batch, /*dedup=*/!rewind);
     if (batch.size() < page) break;
   }
   if (replayed_counter_ != nullptr) replayed_counter_->inc(count);

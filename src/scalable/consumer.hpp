@@ -12,21 +12,25 @@
 // cursor — one watermark per shard, since each shard assigns its own
 // dense id sequence. Replay is the merged, timestamp-ordered view served
 // by ShardedAggregator::events_since.
+//
+// Exactly-once rests on those ids: a shard fans out only records it has
+// committed, so an id names the same record before and after any crash,
+// and the hub delivers each shard's ids in order without gaps. The
+// per-shard seen cursor is therefore the whole dedup state: an event at
+// or below it (a replay overlapping live delivery, a restart) was
+// delivered already and is dropped.
 #pragma once
 
 #include <atomic>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "src/core/filter.hpp"
-#include "src/scalable/dedup_window.hpp"
 #include "src/scalable/flow_control.hpp"
 #include "src/scalable/sharded_aggregator.hpp"
 
@@ -104,8 +108,8 @@ class Consumer {
   void crash();
   /// Restart after crash(): replay from the last acknowledged cursor so
   /// nothing delivered-and-acked repeats and nothing unacked is lost,
-  /// then resume delivery. Replayed and live deliveries overlapping
-  /// during catch-up are collapsed by the per-source dedup window.
+  /// then resume delivery. Live items the replay covered are dropped by
+  /// the per-shard id floor.
   common::Status restart();
 
   /// Replay events since `after_id` (or since the last acknowledged
@@ -116,12 +120,12 @@ class Consumer {
   /// serialized with live delivery, so the callback is never
   /// invoked concurrently (but replayed and live batches may
   /// interleave). Passing an explicit `after_id` is an intentional
-  /// rewind: the dedup window resets so the replayed range is delivered
+  /// rewind: the replayed range bypasses the id floor and is delivered
   /// again. Returns the number of events delivered.
   common::Result<std::size_t> replay_historic(
       std::optional<common::EventId> after_id = std::nullopt);
   /// Vector-cursor variant: replay everything after `cursor`. `rewind`
-  /// gives the explicit-after_id semantics above (dedup reset + bypass).
+  /// gives the explicit-after_id semantics above (floor bypassed).
   common::Result<std::size_t> replay_historic(VectorCursor cursor, bool rewind);
 
   bool matches(const core::StdEvent& event) const;
@@ -135,11 +139,8 @@ class Consumer {
 
   std::uint64_t delivered() const { return delivered_.load(); }
   std::uint64_t filtered_out() const { return filtered_.load(); }
-  /// Duplicate events suppressed by the per-source dedup window.
+  /// Duplicate events dropped by the per-shard id floor.
   std::uint64_t duplicates_suppressed() const { return duplicates_.load(); }
-  /// Sequences the dedup windows hold above their watermarks, summed
-  /// over sources: deliveries still waiting for a predecessor.
-  std::size_t dedup_pending() const;
   /// Sum of the per-shard seen watermarks — total distinct events this
   /// consumer has observed; equal to the plain last id with one shard.
   common::EventId last_seen_id() const { return last_seen_sum_.load(); }
@@ -162,46 +163,32 @@ class Consumer {
   /// runs on its own thread (which resumes it when done).
   FanOutHub::Turn on_hub_item(const HubItem& item);
   /// Deliver one hub batch item: the index already matched the events,
-  /// so delivery skips local filtering. Duplicates (a replay/live seam,
-  /// a restart) are dropped by the per-source cookie window, never by
-  /// id: after a torn commit the aggregator renumbers the tail, so an id
-  /// at or below the seen watermark can name a record not delivered yet.
-  /// Then settles the frame's source through its last cookie and
-  /// advances the seen watermark to its last id, matched or not, so acks
-  /// and the dedup watermark keep progressing for consumers whose rules
-  /// match sparsely. Hands the frame itself to the callback when every
-  /// event matched.
+  /// so delivery skips local filtering. Matched events at or below the
+  /// shard's seen watermark (a replay/live seam, a restart) are dropped;
+  /// then the watermark advances to the frame's last id, matched or not,
+  /// so acks keep progressing for consumers whose rules match sparsely.
+  /// Hands the frame itself to the callback when every event matched
+  /// and none was dropped.
   void deliver_hub_item(const HubItem& item);
   /// Demoted catch-up: page the merged store replay through this
   /// consumer's own rules until within promotion range, promote, then
   /// finish replaying to the promotion watermark (gap-free seam).
   void catch_up(std::stop_token stop);
   void replay_to_watermark(const VectorCursor& target, std::stop_token stop);
-  /// One page of the merged store replay after `cursor` (advanced past
-  /// it): `replay_page` events, plus the rest of a rename the page cut
-  /// through. A rename's MOVED_FROM and MOVED_TO share one cookie and
-  /// sit next to each other in their shard; split across pages, the
-  /// first page would mark the cookie and the dedup window would drop
-  /// the MOVED_TO as a duplicate. Every replay loop pages through here.
-  common::Result<std::vector<core::StdEvent>> next_replay_page(VectorCursor& cursor) const;
-  /// All delivery (live and replay) funnels through here: per-event
-  /// filtering and counters, one callback invocation per batch (or the
-  /// per-event shim), one ack check per batch. The batch callback gets
-  /// `batch` itself when every event survives dedup and filtering, else
-  /// one copy of the survivors. Serialized by
-  /// `deliver_mu_` so the callback sees at most one thread at a time
-  /// even when replay_historic runs concurrently with live delivery.
-  /// With `dedup_filter` false the batch bypasses the duplicate filter
-  /// (an intentional rewind) but still marks the window, so subsequent
-  /// live duplicates of the replayed range are suppressed. With
-  /// `already_filtered` true the events were matched by the shared index
-  /// and local rule evaluation (and its counters) is skipped.
-  void deliver_batch(const core::EventBatch& batch, bool dedup_filter = true,
-                     bool already_filtered = false);
-  /// deliver_batch's body; caller holds deliver_mu_ (and may pass an
-  /// empty batch).
-  void deliver_locked(const core::EventBatch& batch, bool dedup_filter,
-                      bool already_filtered);
+  /// Deliver one page of a store replay, filtered by this consumer's
+  /// rules, under deliver_mu_ so the callback sees at most one thread at
+  /// a time even when replay_historic runs concurrently with live
+  /// delivery. With `dedup` false (an intentional rewind) the page
+  /// bypasses the id floor.
+  void deliver_batch(const core::EventBatch& batch, bool dedup = true);
+  /// All delivery (live and replay) funnels through here; caller holds
+  /// deliver_mu_. Drops events at or below their shard's seen watermark
+  /// when `dedup`, advances the watermark, filters by the rules unless
+  /// `already_filtered` (the shared index matched them), and makes one
+  /// callback invocation per batch (or the per-event shim) and one ack
+  /// check. The batch callback gets `batch` itself when every event
+  /// survives, else one copy of the survivors.
+  void deliver_locked(const core::EventBatch& batch, bool dedup, bool already_filtered);
   /// Ack-interval check; caller holds deliver_mu_. Sends the cursor to
   /// the hub (min-ack + credit replenish); a replay-only consumer never
   /// acks.
@@ -218,17 +205,8 @@ class Consumer {
   /// acknowledge_processed() detect reentry from the callback — a
   /// try_lock on a std::mutex the calling thread already owns is UB.
   std::atomic<std::thread::id> deliver_owner_{};
-  std::map<std::string, SourceDedupWindow> dedup_;  ///< Guarded by deliver_mu_.
-  /// deliver_batch scratch, reused across batches so the steady state
-  /// allocates nothing per batch. Guarded by deliver_mu_.
-  struct DedupRun {
-    SourceDedupWindow* window;
-    std::size_t begin;
-    std::size_t end;
-  };
-  std::vector<DedupRun> dedup_runs_;
-  std::vector<std::size_t> duplicate_at_;  ///< Ascending batch indices.
-  VectorCursor seen_;   ///< Per-shard last seen ids. Guarded by deliver_mu_.
+  /// Per-shard last seen ids: the dedup floor. Guarded by deliver_mu_.
+  VectorCursor seen_;
   VectorCursor acked_;  ///< Per-shard last acked ids. Guarded by deliver_mu_.
   /// Manual-ack mode: the durable cursor published by the application.
   /// Own mutex so acknowledge_processed() can be called from inside the

@@ -15,6 +15,8 @@ constexpr std::size_t kIdleForwardInterval = 64;
 /// Items one delivery turn hands a subscription's handler before the
 /// worker moves on, so one busy subscription cannot hold a worker.
 constexpr std::size_t kTurnItems = 16;
+/// Store records read per page while filling an id gap.
+constexpr std::uint64_t kFillPage = 4096;
 /// A worker inside one turn for longer than this counts as stuck in a
 /// callback. When every worker is stuck and work waits, the pool starts
 /// one more worker. Far above a normal turn, so it fires on callbacks
@@ -57,6 +59,10 @@ FlowMetrics FlowMetrics::create(obs::MetricsRegistry& registry,
       "flow.delivery_handoffs", labels,
       "Extra delivery workers started because every worker was stuck in a callback",
       "workers");
+  m.gap_filled = &registry.counter(
+      "flow.gap_filled_events", labels,
+      "Records the hub read from a shard's store to fill an id gap in its frames",
+      "events");
   return m;
 }
 
@@ -530,10 +536,90 @@ void FanOutHub::update_gauges_locked() {
   }
 }
 
+common::EventId FanOutHub::head_of(std::size_t shard) const {
+  std::lock_guard lock(mu_);
+  return heads_.at(shard);
+}
+
+void FanOutHub::fill_gap(std::size_t shard) {
+  std::lock_guard lock(fill_mu_);
+  fill_locked(shard, aggregator_.shard(shard).durable_id());
+}
+
+void FanOutHub::fill_locked(std::size_t shard, common::EventId up_to) {
+  for (common::EventId head = head_of(shard); head < up_to;) {
+    auto events = aggregator_.shard(shard).events_since(
+        head, static_cast<std::size_t>(std::min(up_to - head, kFillPage)));
+    if (!events || events.value().empty()) {
+      FSMON_WARN("fanout", "shard ", shard, " ids ", head + 1, "..", up_to,
+                 " never reached the hub and cannot be read from its store",
+                 events ? std::string() : ": " + events.status().to_string());
+      return;
+    }
+    head = events.value().back().id;
+    if (metrics_.gap_filled != nullptr) metrics_.gap_filled->inc(events.value().size());
+    auto batch = std::make_shared<core::EventBatch>();
+    batch->events = std::move(events.value());
+    deliver_locked(shard, std::move(batch));
+  }
+}
+
+void FanOutHub::deliver_locked(std::size_t shard,
+                               std::shared_ptr<const core::EventBatch> batch) {
+  {
+    // Publish the batch as in-flight so subscribe() can order itself
+    // against it (see the pending_* comment in the header).
+    std::lock_guard lock(mu_);
+    pending_shard_ = shard;
+    pending_last_id_ = batch->events.back().id;
+    pending_valid_ = true;
+  }
+  // The index has its own lock; matching runs outside the hub mutex so
+  // subscribe/ack calls are never blocked behind a large batch.
+  index_.match_batch(batch->events, delivery_);
+  // Schedule in subscription order, so the earliest subscriptions
+  // (a catch-all is usually first) reach a worker first.
+  touched_.assign(delivery_.touched().begin(), delivery_.touched().end());
+  std::sort(touched_.begin(), touched_.end());
+
+  {
+    std::lock_guard lock(mu_);
+    pending_valid_ = false;
+    heads_.advance(shard, batch->events.back().id);
+    for (SubscriberId id : touched_) {
+      if (id >= subs_.size() || !subs_[id]) continue;
+      const std::shared_ptr<Subscription>& sub = subs_[id];
+      if (sub->state_ != FlowState::kLive) continue;
+      if (sub->credits_ <= 0) {
+        // The window went negative on an earlier frame (frames are
+        // delivered whole); this one is not delivered — the catch-up
+        // replay will cover it.
+        demote_locked(sub, ready_);
+        continue;
+      }
+      const auto indices = delivery_.indices_for(id);
+      HubItem item;
+      item.batch = batch;
+      item.indices.assign(indices.begin(), indices.end());
+      item.shard = shard;
+      sub->credits_ -= static_cast<std::int64_t>(indices.size());
+      push_item(sub, std::move(item), ready_);
+    }
+    evict_overdue_locked(ready_);
+    // Amortized min-ack forwarding: acknowledge() already forwards on
+    // every consumer ack, but when no subscription's rules match (so no
+    // consumer ever acks) retention would still grow with heads_. The
+    // periodic forward lets idle subscribers' effective cursors (see
+    // forward_acks_locked) release the stores.
+    if (++frames_since_forward_ >= kIdleForwardInterval) {
+      frames_since_forward_ = 0;
+      forward_acks_locked();
+    }
+  }
+  schedule(ready_);
+}
+
 void FanOutHub::pump(std::stop_token stop) {
-  DeliverySet delivery;
-  std::vector<SubscriberId> touched;
-  SubscriptionList ready;
   while (!stop.stop_requested()) {
     auto frame = receiver_->recv();
     if (!frame) break;
@@ -542,62 +628,20 @@ void FanOutHub::pump(std::stop_token stop) {
       FSMON_WARN("fanout", "corrupt batch frame: ", decoded.status().to_string());
       continue;
     }
-    if (decoded.value().empty()) continue;
-    auto batch =
-        std::make_shared<const core::EventBatch>(std::move(decoded.value()));
+    std::vector<core::StdEvent>& events = decoded.value().events;
     const std::size_t shard = shard_of_topic(frame->topic);
-    {
-      // Publish the frame as in-flight so subscribe() can order itself
-      // against it (see the pending_* comment in the header).
-      std::lock_guard lock(mu_);
-      pending_shard_ = shard;
-      pending_last_id_ = batch->events.back().id;
-      pending_valid_ = true;
-    }
-    // The index has its own lock; matching runs outside the hub mutex so
-    // subscribe/ack calls are never blocked behind a large batch.
-    index_.match_batch(batch->events, delivery);
+    std::lock_guard lock(fill_mu_);
+    // Ids at or below the head were delivered already: a gap fill read
+    // them from the store while this frame was in flight.
+    const common::EventId head = head_of(shard);
+    events.erase(events.begin(),
+                 std::find_if(events.begin(), events.end(),
+                              [head](const core::StdEvent& e) { return e.id > head; }));
+    if (events.empty()) continue;
+    if (events.front().id > head + 1) fill_locked(shard, events.front().id - 1);
+    deliver_locked(shard,
+                   std::make_shared<const core::EventBatch>(std::move(decoded.value())));
     frames_.fetch_add(1);
-    // Schedule in subscription order, so the earliest subscriptions
-    // (a catch-all is usually first) reach a worker first.
-    touched.assign(delivery.touched().begin(), delivery.touched().end());
-    std::sort(touched.begin(), touched.end());
-
-    {
-      std::lock_guard lock(mu_);
-      pending_valid_ = false;
-      heads_.advance(shard, batch->events.back().id);
-      for (SubscriberId id : touched) {
-        if (id >= subs_.size() || !subs_[id]) continue;
-        const std::shared_ptr<Subscription>& sub = subs_[id];
-        if (sub->state_ != FlowState::kLive) continue;
-        if (sub->credits_ <= 0) {
-          // The window went negative on an earlier frame (frames are
-          // delivered whole); this one is not delivered — the catch-up
-          // replay will cover it.
-          demote_locked(sub, ready);
-          continue;
-        }
-        const auto indices = delivery.indices_for(id);
-        HubItem item;
-        item.batch = batch;
-        item.indices.assign(indices.begin(), indices.end());
-        item.shard = shard;
-        sub->credits_ -= static_cast<std::int64_t>(indices.size());
-        push_item(sub, std::move(item), ready);
-      }
-      evict_overdue_locked(ready);
-      // Amortized min-ack forwarding: acknowledge() already forwards on
-      // every consumer ack, but when no subscription's rules match (so no
-      // consumer ever acks) retention would still grow with heads_. The
-      // periodic forward lets idle subscribers' effective cursors (see
-      // forward_acks_locked) release the stores.
-      if (++frames_since_forward_ >= kIdleForwardInterval) {
-        frames_since_forward_ = 0;
-        forward_acks_locked();
-      }
-    }
-    schedule(ready);
   }
 }
 

@@ -8,6 +8,14 @@
 // queues. Matching cost grows with matched events, not subscriber count,
 // and no consumer's back-pressure reaches a shard's sender.
 //
+// Shards fan out only committed records, and each shard's ids are dense,
+// so the hub keeps a per-shard head and delivers every id exactly once,
+// in order. A frame that starts above head + 1 means the shard's sends
+// in between were refused (or its durable tail was never sent before a
+// crash): the pump first delivers the missing ids from the shard's
+// store (fill_gap, counted as flow.gap_filled_events), then the frame.
+// Ids at or below the head were already delivered and are dropped.
+//
 // Delivery runs on a small pool of workers owned by the hub, not on a
 // thread per subscriber. A queue that gains an item puts its
 // subscription on the pool's run queue (once: a subscription is either
@@ -38,7 +46,8 @@
 // acked cursor across all non-evicted subscriptions to the shard stores,
 // so a purge can never drop an event a demoted consumer still needs for
 // catch-up: the fastest consumer's watermark never races ahead of the
-// slowest's replay needs.
+// slowest's replay needs. The minimum never exceeds the hub's heads,
+// which are durable, so a forwarded ack never outruns a store.
 #pragma once
 
 #include <chrono>
@@ -108,6 +117,7 @@ struct FlowMetrics {
   obs::Gauge* demoted = nullptr;
   obs::Gauge* delivery_workers = nullptr;
   obs::Counter* delivery_handoffs = nullptr;
+  obs::Counter* gap_filled = nullptr;
 
   static FlowMetrics create(obs::MetricsRegistry& registry,
                             const obs::Labels& labels = {});
@@ -205,6 +215,12 @@ class FanOutHub {
   /// Live watermark: last id the hub has seen per shard.
   VectorCursor head_cursor() const;
 
+  /// Deliver shard `shard`'s durable records above its head from the
+  /// shard's store. The pump does this itself when a frame opens a gap;
+  /// ScalableMonitor calls it after restarting a shard, whose durable
+  /// tail (a torn group's prefix) no later frame may follow.
+  void fill_gap(std::size_t shard);
+
   SubscriptionIndex& index() { return index_; }
   std::uint64_t frames_pumped() const { return frames_.load(); }
   /// Delivery workers running now: the pool size, plus any started
@@ -225,6 +241,13 @@ class FanOutHub {
   };
 
   void pump(std::stop_token stop);
+  /// Deliver (head, up_to] of `shard` from its store; caller holds
+  /// fill_mu_.
+  void fill_locked(std::size_t shard, common::EventId up_to);
+  /// Match one batch of `shard`'s records, all above its head, and queue
+  /// it; caller holds fill_mu_.
+  void deliver_locked(std::size_t shard, std::shared_ptr<const core::EventBatch> batch);
+  common::EventId head_of(std::size_t shard) const;
   /// Queue an item; appends `sub` to `ready` when it must be scheduled.
   void push_item(const std::shared_ptr<Subscription>& sub, HubItem item,
                  SubscriptionList& ready);
@@ -251,6 +274,13 @@ class FanOutHub {
   std::jthread pump_thread_;
   std::atomic<bool> running_{false};
   std::atomic<std::uint64_t> frames_{0};
+
+  /// Serializes delivery: the pump's frames and fill_gap() calls. Guards
+  /// the scratch below. Taken before mu_.
+  std::mutex fill_mu_;
+  DeliverySet delivery_;
+  std::vector<SubscriberId> touched_;
+  SubscriptionList ready_;
 
   mutable std::mutex mu_;
   /// Subscriptions indexed by SubscriberId (dense, reused).

@@ -136,6 +136,7 @@ common::Status ScalableMonitor::restart_aggregator() {
   for (auto& collector : collectors_) collector->rewind_to_cleared();
   for (std::size_t k = 0; k < sharded_->shard_count(); ++k) {
     if (auto s = sharded_->shard(k).restart(); !s.is_ok()) return s;
+    hub_->fill_gap(k);
   }
   return Status::ok();
 }
@@ -152,7 +153,11 @@ common::Status ScalableMonitor::restart_aggregator_shard(std::size_t k) {
     if (sharded_->map().shard_of(collector_source(i)) == k)
       collectors_[i]->rewind_to_cleared();
   }
-  return shard.restart();
+  if (auto s = shard.restart(); !s.is_ok()) return s;
+  // A torn group's durable prefix was never fanned out, and no frame may
+  // follow it to open the gap at the hub.
+  hub_->fill_gap(k);
+  return Status::ok();
 }
 
 std::uint64_t ScalableMonitor::total_records_processed() const {

@@ -81,12 +81,14 @@ class ScalableMonitor {
   /// Restart the aggregator tier and rewind every collector to its
   /// cleared index: frames buffered in the dead shards are gone, so
   /// unacked records must be re-published (the dedup watermark absorbs
-  /// overlap).
+  /// overlap). Then the hub delivers each shard's durable records it has
+  /// not seen (FanOutHub::fill_gap).
   common::Status restart_aggregator();
 
   /// Fail-stop / restart a single shard. Restart rewinds only the
   /// collectors whose source the shard map assigns to that shard — the
-  /// other shards (and their collectors) keep flowing undisturbed.
+  /// other shards (and their collectors) keep flowing undisturbed — and
+  /// fills the hub from the shard's store, as restart_aggregator() does.
   void crash_aggregator_shard(std::size_t k) { sharded_->shard(k).crash(); }
   common::Status restart_aggregator_shard(std::size_t k);
 

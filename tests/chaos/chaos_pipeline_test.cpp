@@ -5,10 +5,11 @@
 // exactly-once delivery: zero lost and zero duplicate events, both in
 // the reliable store and at the consumer callback.
 //
-// Identity that survives recovery is (source, cookie, kind): event ids
-// are reassigned when the aggregator restarts, but the cookie is the
-// changelog record index, unique per MDT, and a rename record is the
-// only one emitting two events (distinct kinds) for one cookie.
+// Identity that survives recovery is (source, cookie, kind): a record
+// that died unpersisted with the aggregator is re-published under a
+// fresh id, but the cookie is the changelog record index, unique per
+// MDT, and a rename record is the only one emitting two events
+// (distinct kinds) for one cookie.
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
@@ -382,16 +383,59 @@ TEST_F(ChaosPipelineTest, TornPersistCrashRecoversExactlyOnce) {
   monitor.stop();
 }
 
-TEST_F(ChaosPipelineTest, TornGroupRenumberedRecordsReachHubConsumer) {
-  // Fan-out runs before the WAL commit. A torn group commit keeps only
-  // a prefix of the group durable and fail-stops the shard, so after the
-  // restart the ids above that prefix go to whichever records arrive
-  // first: here another MDT's records, which the consumer has never
-  // seen, under ids at or below its seen cursor. The consumer must
-  // still deliver them; duplicates are decided by cookie, not by id.
-  LustreFsOptions fs_options;
-  fs_options.mdt_count = 2;
-  LustreFs fs(fs_options, clock_);
+/// One MDT whose 20 creates all join one commit group that tears:
+/// `keep` of the group's 2-record batches stay durable, none is sent or
+/// acked. Returns once the shard has fail-stopped, after checking that
+/// the consumer has seen nothing of the group.
+void torn_group_before_restart(ScalableMonitor& monitor, LustreFs& fs, Consumer& consumer,
+                               std::mutex& mu, const KeyCounts& delivered,
+                               std::uint64_t keep) {
+  chaos::FaultPlan plan;
+  chaos::FaultRule torn;
+  torn.point = "wal.group_commit_torn";
+  torn.action = chaos::FaultAction::kCrash;
+  torn.arg = keep;
+  torn.max_fires = 1;
+  plan.rules.push_back(torn);
+  chaos::FaultInjector::instance().arm(std::move(plan));
+  ASSERT_TRUE(monitor.start().is_ok());
+  ASSERT_TRUE(consumer.start().is_ok());
+  for (int i = 0; i < 20; ++i)
+    ASSERT_TRUE(fs.create("/d/f" + std::to_string(i)).is_ok());
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!monitor.aggregator().crashed() && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  ASSERT_TRUE(monitor.aggregator().crashed());
+  EXPECT_EQ(chaos::FaultInjector::instance().fires("wal.group_commit_torn"), 1u);
+  chaos::FaultInjector::instance().disarm();
+  // Give a wrongly sent frame time to arrive.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  std::lock_guard lock(mu);
+  EXPECT_EQ(delivered.size(), 1u) << "the consumer saw records of the torn group";
+}
+
+/// Every record the consumer got carries the id the store holds for it.
+void expect_store_ids(ScalableMonitor& monitor, std::mutex& mu,
+                      const std::map<EventKey, common::EventId>& ids) {
+  auto stored = monitor.aggregator().events_since(0);
+  ASSERT_TRUE(stored.is_ok()) << stored.status().to_string();
+  std::lock_guard lock(mu);
+  EXPECT_EQ(ids.size(), stored.value().size());
+  for (const StdEvent& event : stored.value()) {
+    auto it = ids.find(key_of(event));
+    ASSERT_NE(it, ids.end()) << "cookie " << event.cookie << " never delivered";
+    EXPECT_EQ(it->second, event.id) << "cookie " << event.cookie;
+  }
+}
+
+TEST_F(ChaosPipelineTest, TornGroupPrefixReachesConsumerUnderStoreIds) {
+  // Fan-out runs after the WAL commit. A torn commit keeps the group's
+  // first batch durable and fail-stops the shard before sending any of
+  // it, so the consumer sees nothing of the group. After the restart the
+  // hub fills the durable prefix from the store under the ids the store
+  // holds, and the rewound collector's re-publication of the rest takes
+  // the ids above it: each record arrives exactly once.
+  LustreFs fs(LustreFsOptions{}, clock_);
   ScalableMonitorOptions o = options(dir_);
   o.collector.publish_batch = 2;  // several frames per commit group
   // Wide enough that every frame joins the first group, even under load.
@@ -399,61 +443,58 @@ TEST_F(ChaosPipelineTest, TornGroupRenumberedRecordsReachHubConsumer) {
   ScalableMonitor monitor(fs, o, clock_);
   std::mutex mu;
   KeyCounts delivered;
-  std::string dir_on[2];  // one directory on each MDT, filled in below
-  std::atomic<int> mdt0_files{0};
+  std::map<EventKey, common::EventId> ids;
   auto consumer = monitor.make_consumer("c", ConsumerOptions{}, [&](const StdEvent& e) {
     std::lock_guard lock(mu);
     ++delivered[key_of(e)];
-    if (e.path.rfind(dir_on[0] + "/", 0) == 0) ++mdt0_files;
+    ids[key_of(e)] = e.id;
   });
-  // A file lives on its parent's MDT.
-  for (int i = 0; dir_on[0].empty() || dir_on[1].empty(); ++i) {
-    ASSERT_LT(i, 64) << "DNE placement never used both MDTs";
-    const std::string dir = "/d" + std::to_string(i);
-    auto made = fs.mkdir(dir);
-    ASSERT_TRUE(made.is_ok());
-    if (dir_on[made.value().mdt_index].empty()) dir_on[made.value().mdt_index] = dir;
-  }
-  // The mkdirs are persisted and cleared before the fault is armed.
-  monitor.drain_collectors_once();
+  ASSERT_TRUE(fs.mkdir("/d").is_ok());
+  monitor.drain_collectors_once();  // the mkdir is durable before the fault
+  torn_group_before_restart(monitor, fs, *consumer, mu, delivered, /*keep=*/1);
+  const common::EventId prefix_end = monitor.aggregator().store()->last_id();
+  EXPECT_EQ(prefix_end, 3u) << "the mkdir plus one 2-record batch";
 
-  chaos::FaultPlan plan;
-  chaos::FaultRule torn;
-  torn.point = "wal.group_commit_torn";
-  torn.action = chaos::FaultAction::kCrash;
-  torn.arg = 1;  // the group's first batch stays durable
-  torn.max_fires = 1;
-  plan.rules.push_back(torn);
-  chaos::FaultInjector::instance().arm(std::move(plan));
-
-  ASSERT_TRUE(monitor.start().is_ok());
-  ASSERT_TRUE(consumer->start().is_ok());
-  monitor.crash_collector(1);  // MDT1 publishes nothing before the crash
-
-  constexpr int kFiles = 20;
-  for (int i = 0; i < kFiles; ++i)
-    ASSERT_TRUE(fs.create(dir_on[0] + "/f" + std::to_string(i)).is_ok());
-  wait_until([&] { return monitor.aggregator().crashed(); });
-  // Every frame of the torn group was fanned out before the commit.
-  wait_until([&] { return mdt0_files.load() == kFiles; });
-  const common::EventId seen_before = consumer->last_seen_id();
-
-  // MDT1's records reach the restarted shard first and take the ids
-  // just above the durable prefix, below seen_before.
-  monitor.crash_collector(0);
-  constexpr int kLateFiles = 8;
-  for (int i = 0; i < kLateFiles; ++i)
-    ASSERT_TRUE(fs.create(dir_on[1] + "/g" + std::to_string(i)).is_ok());
-  chaos::FaultInjector::instance().disarm();
   ASSERT_TRUE(monitor.restart_aggregator().is_ok());
-  ASSERT_TRUE(monitor.restart_collector(1).is_ok());
-  wait_until([&] { return fs.mds(1).mdt().changelog().retained() == 0; });
-  EXPECT_LE(monitor.aggregator().last_event_id(), seen_before)
-      << "MDT1's records were not renumbered below the consumer's cursor";
-  ASSERT_TRUE(monitor.restart_collector(0).is_ok());
-
   VERIFY_PIPELINE(monitor, fs, delivered, mu);
-  EXPECT_EQ(chaos::FaultInjector::instance().fires("wal.group_commit_torn"), 1u);
+  expect_store_ids(monitor, mu, ids);
+  consumer->stop();
+  monitor.stop();
+}
+
+TEST_F(ChaosPipelineTest, DurableGroupWithNoLaterFrameReachesConsumerOnRestart) {
+  // The whole torn group is durable, and the collector is down, so no
+  // later frame reaches the shard to open the gap at the hub. Only the
+  // restart's own fill can deliver the group.
+  LustreFs fs(LustreFsOptions{}, clock_);
+  ScalableMonitorOptions o = options(dir_);
+  o.collector.publish_batch = 2;
+  o.aggregator.wal_group_commit_us = std::chrono::milliseconds(500);
+  ScalableMonitor monitor(fs, o, clock_);
+  std::mutex mu;
+  KeyCounts delivered;
+  std::map<EventKey, common::EventId> ids;
+  auto consumer = monitor.make_consumer("c", ConsumerOptions{}, [&](const StdEvent& e) {
+    std::lock_guard lock(mu);
+    ++delivered[key_of(e)];
+    ids[key_of(e)] = e.id;
+  });
+  ASSERT_TRUE(fs.mkdir("/d").is_ok());
+  monitor.drain_collectors_once();
+  torn_group_before_restart(monitor, fs, *consumer, mu, delivered, /*keep=*/1000);
+  EXPECT_EQ(monitor.aggregator().store()->last_id(), 21u) << "the mkdir plus 20 creates";
+  monitor.crash_collector(0);
+  const std::uint64_t frames_before = monitor.hub().frames_pumped();
+
+  ASSERT_TRUE(monitor.restart_aggregator().is_ok());
+  wait_until([&] {
+    std::lock_guard lock(mu);
+    return delivered.size() == 21;
+  });
+  EXPECT_EQ(monitor.hub().frames_pumped(), frames_before) << "a frame reached the hub";
+  ASSERT_TRUE(monitor.restart_collector(0).is_ok());
+  VERIFY_PIPELINE(monitor, fs, delivered, mu);
+  expect_store_ids(monitor, mu, ids);
   consumer->stop();
   monitor.stop();
 }

@@ -300,16 +300,26 @@ TEST_P(TransportChaosTest, FourShardCrashSweepIsExactlyOnce) {
 }
 
 TEST_P(TransportChaosTest, RefusedSendsRewindCollectorsExactlyOnce) {
-  // transport.before_send turns individual sends into refusals. The
-  // collector must treat every refusal as a rewind signal regardless of
-  // carrier: the refused records stay retained in the changelog and the
-  // run replays contiguously, so the merged store view is exactly-once.
+  // transport.before_send turns individual sends into refusals, on every
+  // hop. The collector must treat every refusal as a rewind signal
+  // regardless of carrier: the refused records stay retained in the
+  // changelog and the run replays contiguously, so the merged store view
+  // is exactly-once. A refused shard-to-hub send is never retried; the
+  // hub fills the id gap from the store, so the live consumer also gets
+  // every record exactly once.
   LustreFsOptions fs_options;
   fs_options.mdt_count = 4;
   LustreFs fs(fs_options, clock_);
   auto transport = make_transport();
   ScalableMonitor monitor(fs, options(transport.get()), clock_);
+  std::mutex mu;
+  KeyCounts delivered;
+  auto consumer = monitor.make_consumer("c", ConsumerOptions{}, [&](const StdEvent& e) {
+    std::lock_guard lock(mu);
+    ++delivered[key_of(e)];
+  });
   ASSERT_TRUE(monitor.start().is_ok());
+  ASSERT_TRUE(consumer->start().is_ok());
 
   chaos::FaultPlan plan;
   plan.seed = 7;
@@ -324,8 +334,8 @@ TEST_P(TransportChaosTest, RefusedSendsRewindCollectorsExactlyOnce) {
   ChaosWorkload workload(fs, 123);
   run_with_babysitter(monitor, workload, 160);
 
-  settle(monitor, fs);
-  verify_exactly_once(collect_store(monitor), fs, "store");
+  VERIFY_PIPELINE(monitor, fs, delivered, mu);
+  consumer->stop();
   monitor.stop();
 }
 

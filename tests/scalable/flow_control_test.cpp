@@ -1,8 +1,8 @@
 // FanOutHub end-to-end: per-consumer filtered delivery, slow-consumer
 // demotion/promotion (gap-free, duplicate-free seam), eviction, min-ack
-// forwarding to the reliable stores, and the delivery worker pool
-// (thread bound, blocked-callback handoff, zero-copy frames, dedup
-// window bound, crash/restart).
+// forwarding to the reliable stores, id gaps filled from the stores, and
+// the delivery worker pool (thread bound, blocked-callback handoff,
+// zero-copy frames, crash/restart).
 #include <atomic>
 #include <condition_variable>
 #include <filesystem>
@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/chaos/fault.hpp"
 #include "src/scalable/scalable_monitor.hpp"
 
 namespace fsmon::scalable {
@@ -605,49 +606,68 @@ TEST_F(FlowControlTest, CatchAllConsumersShareTheDecodedFrame) {
   EXPECT_EQ(frames_a, frames_b);
 }
 
-TEST_F(FlowControlTest, FilteredSubscriberDedupWindowStaysBounded) {
-  // A filtered hub consumer marks every cookie of each frame it is
-  // handed, matched or not, so its dedup watermark keeps up with the
-  // stream instead of holding one out-of-order entry per delivery.
+TEST_F(FlowControlTest, RefusedHubSendIsFilledFromTheStore) {
+  // A shard fans a frame out only after committing it and never retries
+  // a refused send: the hub sees the id gap at the shard's next frame
+  // and delivers the refused frame's records from the store first.
+  // Driven synchronously, so exactly one shard-to-hub send is refused.
+  obs::MetricsRegistry registry;
   LustreFs fs(LustreFsOptions{}, clock);
-  fs.mkdir("/keep");
-  fs.mkdir("/drop");
-  ScalableMonitor monitor(fs, options(/*with_store=*/false), clock);
-  std::atomic<int> keep_count{0};
-  std::atomic<int> all_count{0};
-  ConsumerOptions keep_options;
-  core::FilterRule keep_rule;
-  keep_rule.root = "/keep";
-  keep_options.rules.push_back(keep_rule);
-  auto keep = monitor.make_consumer("keep", keep_options,
-                                    [&](const StdEvent&) { keep_count.fetch_add(1); });
-  auto all = monitor.make_consumer("all", ConsumerOptions{},
-                                   [&](const StdEvent&) { all_count.fetch_add(1); });
-  ASSERT_TRUE(monitor.start().is_ok());
-  ASSERT_TRUE(keep->start().is_ok());
-  ASSERT_TRUE(all->start().is_ok());
+  ScalableMonitorOptions o = options();
+  o.aggregator.metrics = &registry;
+  ScalableMonitor monitor(fs, o, clock);
+  std::mutex mu;
+  std::map<std::uint64_t, int> cookies;
+  auto consumer = monitor.make_consumer("c", ConsumerOptions{}, [&](const StdEvent& e) {
+    std::lock_guard lock(mu);
+    ++cookies[e.cookie];
+  });
+  ASSERT_TRUE(monitor.hub().start().is_ok());
+  ASSERT_TRUE(consumer->start().is_ok());
 
-  constexpr int kFiles = 10000;  // per directory: 20k creates in all
-  for (int i = 0; i < kFiles; ++i) {
-    ASSERT_TRUE(fs.create("/keep/f" + std::to_string(i)).is_ok());
-    ASSERT_TRUE(fs.create("/drop/f" + std::to_string(i)).is_ok());
-  }
+  int created = 0;
+  // One frame per round: the collector publishes every new record into
+  // the shard's inbox, then the shard commits it and sends it on.
+  auto round = [&](int creates, bool refuse_fanout) {
+    for (int i = 0; i < creates; ++i)
+      ASSERT_TRUE(fs.create("/f" + std::to_string(created++)).is_ok());
+    ASSERT_GT(monitor.collector(0).drain_once(), 0u);
+    if (refuse_fanout) {
+      chaos::FaultPlan plan;
+      chaos::FaultRule rule;
+      rule.point = "transport.before_send";
+      rule.action = chaos::FaultAction::kDrop;
+      plan.rules.push_back(rule);
+      chaos::FaultInjector::instance().arm(std::move(plan));
+    }
+    EXPECT_EQ(monitor.aggregator().drain_once(), 1u);
+    if (refuse_fanout) {
+      EXPECT_EQ(chaos::FaultInjector::instance().fires("transport.before_send"), 1u);
+      chaos::FaultInjector::instance().disarm();
+    }
+    monitor.collector(0).apply_acked_clear();
+  };
+  round(5, false);
+  round(7, true);
+  round(4, false);
+
   ASSERT_TRUE(wait_until([&] {
-    return keep_count.load() >= kFiles && all_count.load() >= 2 * kFiles;
+    std::lock_guard lock(mu);
+    return cookies.size() >= 16;
   }));
-  EXPECT_LT(keep->dedup_pending(), 16u);
-  EXPECT_EQ(all->dedup_pending(), 0u);
-  keep->stop();
-  all->stop();
-  monitor.stop();
-  EXPECT_EQ(keep_count.load(), kFiles);
+  consumer->stop();
+  monitor.hub().stop();
+  EXPECT_EQ(registry.counter("flow.gap_filled_events").value(), 7u);
+  std::lock_guard lock(mu);
+  ASSERT_EQ(cookies.size(), 16u);
+  for (std::uint64_t cookie = 1; cookie <= 16; ++cookie)
+    EXPECT_EQ(cookies[cookie], 1) << "cookie " << cookie;
 }
 
 TEST_F(FlowControlTest, RenameIntoFilteredSubtreeDeliversMovedTo) {
   // A rename from outside a consumer's subtree into it matches only its
   // MOVED_TO half, which shares the MOVED_FROM's cookie. Duplicates are
-  // decided before the frame's cookies are marked, so the MOVED_TO is
-  // fresh and delivered.
+  // decided by id, not cookie, so the MOVED_TO is fresh and delivered.
   LustreFs fs(LustreFsOptions{}, clock);
   fs.mkdir("/keep");
   fs.mkdir("/drop");

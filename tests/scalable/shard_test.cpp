@@ -366,28 +366,52 @@ TEST_F(AckDurabilityTest, AckReleasedOnlyAfterTheGroupIsFlushed) {
   EXPECT_GE(on_disk_at_ack[0], record_bytes);
 }
 
-// Live fan-out runs ahead of the WAL append, so a consumer's ack can
-// name ids the store does not hold yet, and the store clamps it to its
-// last id. Once those ids are persisted, purge() applies the rest of the
-// ack: nothing acks again after the end of a stream, so a lost remainder
-// would hold retention until the next ack.
-TEST_F(AckDurabilityTest, AckAheadOfPersistenceIsAppliedByPurge) {
+// A shard fans a group out only after committing it, so every id the
+// hub has seen is in the store. The acks the hub forwards (the minimum
+// of its subscriptions' acked cursors, never above its heads) therefore
+// never outrun the store, and purge() removes exactly the acked ids.
+TEST_F(AckDurabilityTest, ForwardedAcksNeverPassTheStoreAndPurgeExactlyThem) {
   common::RealClock clock;
   msgq::Bus bus;
   ShardedAggregatorOptions options;
   eventstore::EventStoreOptions store;
   store.directory = dir_;
   options.aggregator.store = store;
+  // A slow commit: a frame fanned out before its append would reach the
+  // callback long before the store holds it.
+  options.aggregator.commit_latency = std::chrono::milliseconds(20);
   ShardedAggregator sharded(bus, "aggregator", options, clock);
+  FanOutHub hub(sharded, FlowControlOptions{});
+  ASSERT_TRUE(hub.start().is_ok());
+  const eventstore::EventStore& stored = *sharded.shard(0).store();
+  std::atomic<bool> ahead_of_store{false};
+  std::atomic<int> delivered{0};
+  ConsumerOptions consumer_options;
+  consumer_options.hub = &hub;
+  consumer_options.ack_interval = 4;
+  Consumer consumer(sharded, "c", consumer_options, [&](const StdEvent& event) {
+    if (event.id > stored.last_id() || hub.head_cursor().at(0) > stored.last_id())
+      ahead_of_store.store(true);
+    ++delivered;
+  });
+  ASSERT_TRUE(consumer.start().is_ok());
 
-  ASSERT_EQ(sharded.router().route("t", make_frame("lustre:MDT0", 1, 3)).accepted, 1u);
-  ASSERT_EQ(sharded.shard(0).drain_once(), 1u);  // ids 1-3 persisted
-  VectorCursor ack(1);
-  ack.advance(0, 6);
-  sharded.acknowledge(ack);  // ids 4-6 fanned out, not yet persisted
-  ASSERT_EQ(sharded.router().route("t", make_frame("lustre:MDT0", 4, 3)).accepted, 1u);
-  ASSERT_EQ(sharded.shard(0).drain_once(), 1u);  // ids 4-6 persisted
-  EXPECT_EQ(sharded.purge(), 6u);
+  // 4 + 4 + 2 events: the consumer acks after the first two frames
+  // (every 4 events); the last two stay unacked.
+  ASSERT_EQ(sharded.router().route("t", make_frame("lustre:MDT0", 1, 4)).accepted, 1u);
+  ASSERT_EQ(sharded.router().route("t", make_frame("lustre:MDT0", 5, 4)).accepted, 1u);
+  ASSERT_EQ(sharded.router().route("t", make_frame("lustre:MDT0", 9, 2)).accepted, 1u);
+  ASSERT_EQ(sharded.shard(0).drain_once(), 3u);
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (delivered.load() < 10 && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  ASSERT_EQ(delivered.load(), 10);
+  EXPECT_FALSE(ahead_of_store.load()) << "an id reached the hub before the store";
+  EXPECT_EQ(sharded.purge(), 8u);
+  EXPECT_EQ(stored.first_id(), 9u);
+  EXPECT_EQ(sharded.purge(), 0u);
+  consumer.stop();
+  hub.stop();
 }
 
 // Regression (sharding review): the merged replay pages all shard stores
@@ -442,10 +466,9 @@ TEST_F(ShardMergeTest, ConcurrentReplayAndSlowConsumerDoNotDeadlock) {
   monitor.stop();
 }
 
-// Regression: a replay page that ended between a rename's MOVED_FROM
-// and MOVED_TO marked their shared cookie in the dedup window, and the
-// next page's MOVED_TO was then dropped as a duplicate. Every page size
-// must deliver both halves.
+// A replay page may end between a rename's MOVED_FROM and MOVED_TO,
+// which share one cookie. Duplicates are decided by id, so the next
+// page's MOVED_TO is fresh: every page size delivers both halves.
 TEST_F(ShardMergeTest, ReplayPagesNeverSplitARenamePair) {
   common::RealClock clock;
   LustreFs fs(LustreFsOptions{}, clock);
@@ -476,7 +499,7 @@ TEST_F(ShardMergeTest, ReplayPagesNeverSplitARenamePair) {
     auto consumer = monitor.make_consumer(
         "replay" + std::to_string(page), consumer_options,
         [&](const StdEvent& event) { kinds.push_back(event.kind); });
-    // From the acked cursor: the dedup window is live, as in catch-up.
+    // From the acked cursor: the id floor is live, as in catch-up.
     ASSERT_TRUE(consumer->replay_historic().is_ok());
     EXPECT_EQ(kinds, expected) << "replay_page " << page;
     EXPECT_EQ(consumer->duplicates_suppressed(), 0u) << "replay_page " << page;
